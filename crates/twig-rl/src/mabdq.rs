@@ -601,9 +601,9 @@ pub struct MaBdq {
     guards: Vec<AgentGuard>,
     quarantine_trips: u64,
     quarantine_readmissions: u64,
-    /// In-flight budgeted gradient step, if any (see
+    /// The gradient step in progress (see
     /// [`train_step_budgeted`](Self::train_step_budgeted)).
-    budgeted: Option<Box<BudgetedStep>>,
+    step: StepState,
     /// Fixed-point snapshot of the online net for the `SafeFallback` shed
     /// tier, if [`refresh_quantized`](Self::refresh_quantized) has run.
     quantized: Option<Box<QuantizedNet>>,
@@ -673,55 +673,53 @@ impl QuantizedNet {
 
 /// Preallocated working memory for the decide/learn hot path. Every buffer
 /// is sized on first use and reused afterwards, so steady-state
-/// [`MaBdq::select_actions`], [`MaBdq::q_values`] and [`MaBdq::train_step`]
-/// calls perform no heap allocation. Holds no learner state — clearing it
-/// at any point would not change a single result.
+/// [`MaBdq::select_actions`], [`MaBdq::q_values`], [`MaBdq::train_step`] and
+/// [`MaBdq::train_step_budgeted`] calls perform no heap allocation. Holds no
+/// learner state — clearing it at any point would not change a single
+/// result, which is why eval-mode inference may reuse it between the chunks
+/// of a budgeted step. The state a gradient step carries from phase to
+/// phase lives in [`StepState`].
 #[derive(Debug, Clone, Default)]
 struct MaBdqScratch {
-    /// Joint current-state batch (`B × K*state_dim`).
+    /// Joint state of one decision (`1 × K*state_dim`).
     x: Tensor,
-    /// Joint next-state batch.
+    /// Joint next-state batch, read while a step computes its targets.
     x_next: Tensor,
     /// Online-network evaluations (action selection + double-DQN argmax).
     q_eval: QScratch,
     /// Target-network evaluations.
     q_target: QScratch,
-    /// Reused PER sample (indices + importance weights).
-    batch: PerBatch,
-    /// TD targets, flattened `b * agents + k`.
-    targets: Vec<f32>,
-    /// Per-sample mean |TD| fed back as priorities.
-    abs_td: Vec<f64>,
-    /// Per-agent summed |TD| this step (quarantine signal; unused when
-    /// quarantine is disabled).
-    agent_td: Vec<f64>,
-    /// Per-agent value-head squared gradient norm this step (quarantine
-    /// signal).
-    agent_vgrad: Vec<f64>,
     agent_state: Tensor,
     input_k: Tensor,
     v_grad: Tensor,
     adv_grad: Tensor,
     input_grad: Tensor,
-    trunk_grad: Tensor,
     to_trunk: Tensor,
     to_state: Tensor,
 }
 
-/// State of one in-flight budgeted gradient step (see
-/// [`MaBdq::train_step_budgeted`]). Owns copies of everything the deferred
-/// chunks and epilogue need, because between chunk calls the caller may run
-/// eval-mode inference (which clobbers the shared [`MaBdqScratch`] and every
-/// network's activation caches) or push new transitions (which may overwrite
-/// sampled replay slots).
-#[derive(Debug, Clone)]
-struct BudgetedStep {
+/// The one gradient step, carried from phase to phase: [`MaBdq::train_step`]
+/// runs all of it in one call, [`MaBdq::train_step_budgeted`] may spread its
+/// per-agent head passes over several. Owns everything the head passes and
+/// the epilogue read, because between chunk calls the caller may run
+/// eval-mode inference (which reuses [`MaBdqScratch`]) or push new
+/// transitions (which may overwrite sampled replay slots). Reused from step
+/// to step, so neither entry point allocates in steady state.
+#[derive(Debug, Clone, Default)]
+struct StepState {
+    /// A step has begun and its epilogue has not run yet.
+    in_flight: bool,
+    /// The step returned to its caller before finishing, so the epilogue
+    /// must replay the trunk forward.
+    split: bool,
+    /// Next agent whose head pass is due; `agents` means only the epilogue
+    /// is left.
+    next_agent: usize,
     /// Joint current-state batch (`B × K*state_dim`).
     x: Tensor,
-    /// Sampled replay indices (for the priority write-back).
-    indices: Vec<usize>,
-    /// PER importance weights, aligned with `indices`.
-    weights: Vec<f32>,
+    /// Sampled replay indices (for the priority write-back) and their PER
+    /// importance weights.
+    batch: PerBatch,
     /// Sampled actions, flattened `(b * agents + k) * num_branches + d`.
     actions: Vec<usize>,
     /// TD targets, flattened `b * agents + k`.
@@ -729,22 +727,20 @@ struct BudgetedStep {
     /// Train-mode trunk activations for the sampled batch.
     trunk_out: Tensor,
     /// Trunk dropout RNG streams snapshotted *before* the trunk forward, so
-    /// the epilogue can recompute that forward (rebuilding the activation
-    /// caches backward needs) with bit-identical masks.
+    /// the epilogue of a split step can recompute that forward (rebuilding
+    /// the activation caches backward needs) with bit-identical masks.
     trunk_rng: Vec<Xoshiro256>,
     /// Trunk gradient accumulated across completed agent passes.
     trunk_grad: Tensor,
-    /// Per-sample mean |TD| accumulated so far.
+    /// Per-sample mean |TD|, fed back as priorities.
     abs_td: Vec<f64>,
-    /// Per-agent summed |TD| (quarantine signal).
+    /// Per-agent summed |TD| (quarantine signal; unused when quarantine is
+    /// disabled).
     agent_td: Vec<f64>,
     /// Per-agent value-head squared gradient norm (quarantine signal).
     agent_vgrad: Vec<f64>,
     /// Weighted TD loss accumulated so far.
     loss: f32,
-    /// Next agent index to process; `agents` means only the epilogue is
-    /// left.
-    next_agent: usize,
 }
 
 impl MaBdq {
@@ -780,7 +776,7 @@ impl MaBdq {
             guards: Vec::new(),
             quarantine_trips: 0,
             quarantine_readmissions: 0,
-            budgeted: None,
+            step: StepState::default(),
             quantized: None,
         };
         agent.rebuild_guards();
@@ -819,13 +815,18 @@ impl MaBdq {
     }
 
     /// Replaces the quarantine configuration at runtime, validating it and
-    /// resetting every agent's baselines, snapshot and probation state.
+    /// resetting every agent's baselines, snapshot and probation state. An
+    /// in-flight budgeted step is aborted.
     ///
     /// # Errors
     ///
     /// Returns [`RlError::InvalidConfig`] for invalid thresholds.
     pub fn set_quarantine(&mut self, quarantine: QuarantineConfig) -> Result<(), RlError> {
         quarantine.validate()?;
+        // The step's per-agent signals were gathered under the old setting
+        // (not at all for agents already passed while it was off); the
+        // rebuilt guards must not seed their baselines from them.
+        self.abort_budgeted_step();
         self.config.quarantine = quarantine;
         self.rebuild_guards();
         Ok(())
@@ -901,28 +902,29 @@ impl MaBdq {
     /// `clock + probation_steps`; healthy agents fold their signals into
     /// the EWMA baselines and refresh their snapshot on schedule.
     fn quarantine_scan(&mut self) {
-        if !self.config.quarantine.enabled {
-            return;
-        }
-        let q = self.config.quarantine.clone();
         let clock = self.train_clock();
-        let denom = (self.config.batch_size * self.config.branches.len()) as f64;
-        let mut frozen_now = 0usize;
         let MaBdq {
+            config,
             guards,
             online,
-            scratch,
+            step,
             quarantine_trips,
             telemetry,
             ..
         } = self;
+        let q = &config.quarantine;
+        if !q.enabled {
+            return;
+        }
+        let denom = (config.batch_size * config.branches.len()) as f64;
+        let mut frozen_now = 0usize;
         for (k, guard) in guards.iter_mut().enumerate() {
             if guard.frozen_until > 0 {
                 frozen_now += 1;
                 continue;
             }
-            let td = scratch.agent_td[k] / denom;
-            let grad = scratch.agent_vgrad[k].sqrt();
+            let td = step.agent_td[k] / denom;
+            let grad = step.agent_vgrad[k].sqrt();
             let warmed = guard.baseline_samples >= q.warmup_steps;
             let td_limit = q.trip_multiple * guard.td_baseline.max(QUARANTINE_BASELINE_FLOOR);
             let grad_limit = q.trip_multiple * guard.grad_baseline.max(QUARANTINE_BASELINE_FLOOR);
@@ -1399,10 +1401,9 @@ impl MaBdq {
     ///
     /// Steady-state allocation-free: sampled transitions are read from the
     /// buffer in place (never cloned), and every tensor — joint states,
-    /// head inputs, gradients, targets — lives in the reused
-    /// [`MaBdqScratch`]. Results are bit-identical to the historical
-    /// allocating implementation: same RNG draw order, same per-element
-    /// float accumulation order.
+    /// head inputs, gradients, targets — lives in reused buffers. This is
+    /// the step [`train_step_budgeted`](Self::train_step_budgeted) runs,
+    /// driven to completion in one call.
     ///
     /// # Errors
     ///
@@ -1411,234 +1412,28 @@ impl MaBdq {
         // A full step supersedes any half-finished budgeted one: discard its
         // partial gradients rather than mixing two minibatches.
         self.abort_budgeted_step();
-        if self.buffer.len() < self.config.batch_size {
+        if !self.begin_step()? {
             return Ok(None);
         }
-        let batch_size = self.config.batch_size;
-        let agents = self.config.agents;
-        let num_branches = self.config.branches.len();
-        let gamma = self.config.gamma;
-        let state_dim = self.config.state_dim;
-        let quarantine_on = self.config.quarantine.enabled;
-        if quarantine_on {
-            self.quarantine_readmit();
+        for k in 0..self.config.agents {
+            self.agent_pass(k);
         }
-
-        self.buffer
-            .sample_into(batch_size, &mut self.rng, &mut self.scratch.batch)?;
-
-        // Pack joint current/next states straight from the buffer.
-        self.scratch.x.resize_zeroed(batch_size, agents * state_dim);
-        self.scratch
-            .x_next
-            .resize_zeroed(batch_size, agents * state_dim);
-        for (b, &idx) in self.scratch.batch.indices.iter().enumerate() {
-            let t = self.buffer.get(idx).expect("sampled index valid");
-            let row = self.scratch.x.row_mut(b);
-            for (k, s) in t.states.iter().enumerate() {
-                row[k * state_dim..(k + 1) * state_dim].copy_from_slice(s);
-            }
-            let row = self.scratch.x_next.row_mut(b);
-            for (k, s) in t.next_states.iter().enumerate() {
-                row[k * state_dim..(k + 1) * state_dim].copy_from_slice(s);
-            }
-        }
-
-        // --- Targets: double-DQN style, averaged over branches. ---
-        self.online.q_values_into(
-            &self.scratch.x_next,
-            state_dim,
-            false,
-            &mut self.scratch.q_eval,
-        );
-        self.target.q_values_into(
-            &self.scratch.x_next,
-            state_dim,
-            false,
-            &mut self.scratch.q_target,
-        );
-        // y[b * agents + k]
-        self.scratch.targets.clear();
-        self.scratch.targets.resize(batch_size * agents, 0.0);
-        for k in 0..agents {
-            for b in 0..batch_size {
-                let mut acc = 0.0;
-                for d in 0..num_branches {
-                    let a_star = argmax(self.scratch.q_eval.q[k][d].row(b));
-                    acc += self.scratch.q_target.q[k][d][(b, a_star)];
-                }
-                let reward = self
-                    .buffer
-                    .get(self.scratch.batch.indices[b])
-                    .expect("sampled index valid")
-                    .rewards[k];
-                self.scratch.targets[b * agents + k] = reward + gamma * acc / num_branches as f32;
-            }
-        }
-
-        // --- Online forward + manual backward with gradient rescaling. ---
-        self.online.zero_grads();
-        let Net {
-            trunk,
-            value_heads,
-            adv_heads,
-        } = &mut self.online;
-        let trunk_out = trunk.forward_scratch(&self.scratch.x, true);
-        let trunk_dim = trunk_out.cols();
-        self.scratch.trunk_grad.resize_zeroed(batch_size, trunk_dim);
-        self.scratch.abs_td.clear();
-        self.scratch.abs_td.resize(batch_size, 0.0);
-        self.scratch.agent_td.clear();
-        self.scratch.agent_td.resize(agents, 0.0);
-        self.scratch.agent_vgrad.clear();
-        self.scratch.agent_vgrad.resize(agents, 0.0);
-        let mut loss = 0.0f32;
-        let norm = (batch_size * agents * num_branches) as f32;
-
-        for (k, vh) in value_heads.iter_mut().enumerate() {
-            // A quarantined agent contributes nothing this step: no
-            // forward, no loss term, no gradient, no replay priority. The
-            // remaining K−1 agents train exactly as usual (probation is
-            // time-based, so nothing needs measuring here either).
-            if quarantine_on && self.guards[k].frozen_until > 0 {
-                continue;
-            }
-            self.scratch
-                .agent_state
-                .resize_zeroed(batch_size, state_dim);
-            for b in 0..batch_size {
-                self.scratch
-                    .agent_state
-                    .row_mut(b)
-                    .copy_from_slice(&self.scratch.x.row(b)[k * state_dim..(k + 1) * state_dim]);
-            }
-            trunk_out
-                .concat_cols_into(&self.scratch.agent_state, &mut self.scratch.input_k)
-                .expect("same batch");
-            let v = vh.forward_scratch(&self.scratch.input_k, true);
-            self.scratch.v_grad.resize_zeroed(batch_size, 1);
-            self.scratch
-                .input_grad
-                .resize_zeroed(batch_size, self.scratch.input_k.cols());
-
-            for (d, head) in adv_heads.iter_mut().enumerate() {
-                let adv = head.forward_scratch(&self.scratch.input_k, true);
-                let n = adv.cols();
-                self.scratch.adv_grad.resize_zeroed(batch_size, n);
-                for b in 0..batch_size {
-                    let a = self
-                        .buffer
-                        .get(self.scratch.batch.indices[b])
-                        .expect("sampled index valid")
-                        .actions[k][d];
-                    let row = adv.row(b);
-                    let mean: f32 = row.iter().sum::<f32>() / n as f32;
-                    let q = v[(b, 0)] + row[a] - mean;
-                    let delta = q - self.scratch.targets[b * agents + k];
-                    self.scratch.abs_td[b] += (delta.abs() / (agents * num_branches) as f32) as f64;
-                    if quarantine_on {
-                        self.scratch.agent_td[k] += f64::from(delta.abs());
-                    }
-                    let w = self.scratch.batch.weights[b];
-                    loss += w * delta * delta / norm;
-                    let g = 2.0 * w * delta / norm;
-                    let grow = self.scratch.adv_grad.row_mut(b);
-                    for (j, gj) in grow.iter_mut().enumerate() {
-                        let indicator = if j == a { 1.0 } else { 0.0 };
-                        *gj = g * (indicator - 1.0 / n as f32);
-                    }
-                    self.scratch.v_grad[(b, 0)] += g;
-                }
-                let gin = head.backward_scratch(&self.scratch.adv_grad);
-                self.scratch.input_grad.add_assign(gin).expect("same shape");
-            }
-            let gin_v = vh.backward_scratch(&self.scratch.v_grad);
-            self.scratch
-                .input_grad
-                .add_assign(gin_v)
-                .expect("same shape");
-            if quarantine_on {
-                self.scratch.agent_vgrad[k] = f64::from(vh.grad_sq_norm());
-            }
-            self.scratch.input_grad.split_cols_into(
-                trunk_dim,
-                &mut self.scratch.to_trunk,
-                &mut self.scratch.to_state,
-            );
-            self.scratch
-                .trunk_grad
-                .add_assign(&self.scratch.to_trunk)
-                .expect("same shape");
-        }
-
-        // Section III-A rescaling: 1/K into the deepest advantage layers,
-        // 1/D into the shared representation.
-        for head in adv_heads.iter_mut() {
-            head.scale_grads(1.0 / agents as f32);
-        }
-        self.scratch.trunk_grad.scale(1.0 / num_branches as f32);
-        trunk.backward_scratch(&self.scratch.trunk_grad);
-
-        // NaN guard: a numerically blown-up minibatch (non-finite loss or
-        // gradients) must not reach the weights — one bad Adam step can
-        // permanently poison the network. Skip the update and report it.
-        let grad_norm = self.online.grad_sq_norm().sqrt();
-        if !loss.is_finite() || !grad_norm.is_finite() {
-            self.online.zero_grads();
-            self.skipped_steps += 1;
-            // The scan runs on skipped steps too: the agent whose TD blew
-            // up trips and freezes here, so subsequent minibatch losses
-            // become finite again and the other K−1 agents resume training
-            // instead of being starved by the global guard forever.
-            self.quarantine_scan();
-            let stats = TrainStats {
-                loss,
-                mean_abs_td: (self.scratch.abs_td.iter().sum::<f64>() / batch_size as f64) as f32,
-                grad_norm,
-                skipped: true,
-            };
-            self.record_train_stats(&stats);
-            return Ok(Some(stats));
-        }
-
-        // Global-norm clipping, then Adam.
-        if self.config.grad_clip > 0.0 && grad_norm > self.config.grad_clip {
-            self.online
-                .scale_all_grads(self.config.grad_clip / grad_norm);
-        }
-        self.online.apply(&mut self.adam);
-
-        self.buffer
-            .update_priorities(&self.scratch.batch.indices, &self.scratch.abs_td);
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.config.target_update_every) {
-            self.target.copy_weights_from(&self.online);
-            self.resync_quantized();
-        }
-        self.quarantine_scan();
-        let stats = TrainStats {
-            loss,
-            mean_abs_td: (self.scratch.abs_td.iter().sum::<f64>() / batch_size as f64) as f32,
-            grad_norm,
-            skipped: false,
-        };
-        self.record_train_stats(&stats);
-        Ok(Some(stats))
+        Ok(Some(self.finish_step()))
     }
 
     /// Whether a budgeted gradient step is currently in flight (started by
     /// [`train_step_budgeted`](Self::train_step_budgeted) but not yet
     /// `Done`).
     pub fn budgeted_step_in_flight(&self) -> bool {
-        self.budgeted.is_some()
+        self.step.in_flight
     }
 
     /// Drops any in-flight budgeted step, zeroing its partial gradients.
     /// Called by every operation that would invalidate the deferred state
     /// (a full [`train_step`](Self::train_step), a checkpoint restore, a
-    /// transfer reset).
+    /// transfer reset, a quarantine reconfiguration).
     fn abort_budgeted_step(&mut self) {
-        if self.budgeted.take().is_some() {
+        if std::mem::take(&mut self.step.in_flight) {
             self.online.zero_grads();
         }
     }
@@ -1656,307 +1451,286 @@ impl MaBdq {
     /// ([`select_actions`](Self::select_actions) /
     /// [`q_values`](Self::q_values)) and [`observe`](Self::observe): the
     /// step owns copies of everything it still needs, and eval-mode
-    /// forwards never advance dropout RNG streams, so a step driven to
-    /// completion produces **bit-identical** weights, optimizer state, RNG
-    /// streams and replay priorities to one unbudgeted
-    /// [`train_step`](Self::train_step) — the property
-    /// `tests/budgeted_training.rs` proves. Unlike `train_step`, this path
-    /// allocates (the deferred state is heap-owned); it trades the
-    /// zero-allocation discipline for bounded per-call latency.
+    /// forwards never advance dropout RNG streams. A step that returned to
+    /// the caller before finishing restores the trunk's dropout streams
+    /// from a snapshot taken before its trunk forward and replays that
+    /// forward ahead of the trunk backward, so the activation caches are
+    /// its own again; a step that starts and finishes in one call skips
+    /// the replay. Either way a step driven to completion
+    /// produces **bit-identical** weights, optimizer state, RNG streams and
+    /// replay priorities to one [`train_step`](Self::train_step) — the
+    /// property `tests/budgeted_training.rs` proves — and, like it,
+    /// allocates nothing in steady state.
     ///
-    /// A [`train_step`](Self::train_step), checkpoint restore or transfer
-    /// reset while a step is in flight aborts the partial step (its
-    /// gradients are discarded; no weights were touched).
+    /// A [`train_step`](Self::train_step), checkpoint restore, transfer
+    /// reset or [`set_quarantine`](Self::set_quarantine) while a step is in
+    /// flight aborts the partial step (its gradients are discarded; no
+    /// weights were touched).
     ///
     /// # Errors
     ///
     /// Propagates replay-buffer errors from the initial sample.
     pub fn train_step_budgeted(&mut self, max_agents: usize) -> Result<BudgetedProgress, RlError> {
-        let mut step = match self.budgeted.take() {
-            Some(step) => step,
-            None => match self.begin_budgeted_step()? {
-                Some(step) => step,
-                None => return Ok(BudgetedProgress::NotReady),
-            },
-        };
-        let batch_size = self.config.batch_size;
-        let agents = self.config.agents;
-        let num_branches = self.config.branches.len();
-        let state_dim = self.config.state_dim;
-        let quarantine_on = self.config.quarantine.enabled;
-        let norm = (batch_size * agents * num_branches) as f32;
-        let trunk_dim = step.trunk_out.cols();
-
-        let end = (step.next_agent + max_agents.max(1)).min(agents);
-        while step.next_agent < end {
-            let k = step.next_agent;
-            step.next_agent += 1;
-            // Same skip rule as `train_step`: a quarantined agent
-            // contributes nothing, but still counts as processed.
-            if quarantine_on && self.guards[k].frozen_until > 0 {
-                continue;
-            }
-            let Net {
-                value_heads,
-                adv_heads,
-                ..
-            } = &mut self.online;
-            let vh = &mut value_heads[k];
-            self.scratch
-                .agent_state
-                .resize_zeroed(batch_size, state_dim);
-            for b in 0..batch_size {
-                self.scratch
-                    .agent_state
-                    .row_mut(b)
-                    .copy_from_slice(&step.x.row(b)[k * state_dim..(k + 1) * state_dim]);
-            }
-            step.trunk_out
-                .concat_cols_into(&self.scratch.agent_state, &mut self.scratch.input_k)
-                .expect("same batch");
-            let v = vh.forward_scratch(&self.scratch.input_k, true);
-            self.scratch.v_grad.resize_zeroed(batch_size, 1);
-            self.scratch
-                .input_grad
-                .resize_zeroed(batch_size, self.scratch.input_k.cols());
-
-            for (d, head) in adv_heads.iter_mut().enumerate() {
-                let adv = head.forward_scratch(&self.scratch.input_k, true);
-                let n = adv.cols();
-                self.scratch.adv_grad.resize_zeroed(batch_size, n);
-                for b in 0..batch_size {
-                    let a = step.actions[(b * agents + k) * num_branches + d];
-                    let row = adv.row(b);
-                    let mean: f32 = row.iter().sum::<f32>() / n as f32;
-                    let q = v[(b, 0)] + row[a] - mean;
-                    let delta = q - step.targets[b * agents + k];
-                    step.abs_td[b] += (delta.abs() / (agents * num_branches) as f32) as f64;
-                    if quarantine_on {
-                        step.agent_td[k] += f64::from(delta.abs());
-                    }
-                    let w = step.weights[b];
-                    step.loss += w * delta * delta / norm;
-                    let g = 2.0 * w * delta / norm;
-                    let grow = self.scratch.adv_grad.row_mut(b);
-                    for (j, gj) in grow.iter_mut().enumerate() {
-                        let indicator = if j == a { 1.0 } else { 0.0 };
-                        *gj = g * (indicator - 1.0 / n as f32);
-                    }
-                    self.scratch.v_grad[(b, 0)] += g;
-                }
-                let gin = head.backward_scratch(&self.scratch.adv_grad);
-                self.scratch.input_grad.add_assign(gin).expect("same shape");
-            }
-            let gin_v = vh.backward_scratch(&self.scratch.v_grad);
-            self.scratch
-                .input_grad
-                .add_assign(gin_v)
-                .expect("same shape");
-            if quarantine_on {
-                step.agent_vgrad[k] = f64::from(vh.grad_sq_norm());
-            }
-            self.scratch.input_grad.split_cols_into(
-                trunk_dim,
-                &mut self.scratch.to_trunk,
-                &mut self.scratch.to_state,
-            );
-            step.trunk_grad
-                .add_assign(&self.scratch.to_trunk)
-                .expect("same shape");
+        if !self.step.in_flight && !self.begin_step()? {
+            return Ok(BudgetedProgress::NotReady);
         }
-
-        if step.next_agent < agents {
-            let agents_done = step.next_agent;
-            self.budgeted = Some(step);
+        let agents = self.config.agents;
+        let start = self.step.next_agent;
+        let end = start.saturating_add(max_agents.max(1)).min(agents);
+        for k in start..end {
+            self.agent_pass(k);
+        }
+        self.step.next_agent = end;
+        if end < agents {
+            self.step.split = true;
             return Ok(BudgetedProgress::InProgress {
-                agents_done,
+                agents_done: end,
                 agents_total: agents,
             });
         }
-        Ok(BudgetedProgress::Done(self.finish_budgeted_step(*step)))
+        Ok(BudgetedProgress::Done(self.finish_step()))
     }
 
-    /// Starts a budgeted step: samples the minibatch, packs states, computes
-    /// double-DQN targets, zeroes gradients and runs the trunk forward —
-    /// copying everything later chunks need into an owned [`BudgetedStep`].
-    /// Returns `None` when the buffer is below `batch_size`.
-    fn begin_budgeted_step(&mut self) -> Result<Option<Box<BudgetedStep>>, RlError> {
-        if self.buffer.len() < self.config.batch_size {
-            return Ok(None);
-        }
+    /// First phase of a gradient step: samples the minibatch, packs states,
+    /// copies the sampled actions, computes double-DQN targets, zeroes the
+    /// gradients, snapshots the trunk dropout streams and runs the trunk
+    /// forward. Returns `false`, starting nothing, when the buffer holds
+    /// fewer than `batch_size` transitions.
+    fn begin_step(&mut self) -> Result<bool, RlError> {
         let batch_size = self.config.batch_size;
-        let agents = self.config.agents;
-        let num_branches = self.config.branches.len();
-        let gamma = self.config.gamma;
-        let state_dim = self.config.state_dim;
+        if self.buffer.len() < batch_size {
+            return Ok(false);
+        }
         if self.config.quarantine.enabled {
             self.quarantine_readmit();
         }
+        let MaBdq {
+            config,
+            online,
+            target,
+            buffer,
+            rng,
+            scratch,
+            step,
+            ..
+        } = self;
+        let agents = config.agents;
+        let num_branches = config.branches.len();
+        let state_dim = config.state_dim;
 
-        self.buffer
-            .sample_into(batch_size, &mut self.rng, &mut self.scratch.batch)?;
+        buffer.sample_into(batch_size, rng, &mut step.batch)?;
 
-        self.scratch.x.resize_zeroed(batch_size, agents * state_dim);
-        self.scratch
-            .x_next
-            .resize_zeroed(batch_size, agents * state_dim);
-        for (b, &idx) in self.scratch.batch.indices.iter().enumerate() {
-            let t = self.buffer.get(idx).expect("sampled index valid");
-            let row = self.scratch.x.row_mut(b);
+        // Pack joint current/next states straight from the buffer. The
+        // step keeps its own copy of the sampled actions: `observe` calls
+        // between chunks may overwrite sampled replay slots.
+        step.x.resize_zeroed(batch_size, agents * state_dim);
+        scratch.x_next.resize_zeroed(batch_size, agents * state_dim);
+        step.actions.clear();
+        for (b, &idx) in step.batch.indices.iter().enumerate() {
+            let t = buffer.get(idx).expect("sampled index valid");
+            let row = step.x.row_mut(b);
             for (k, s) in t.states.iter().enumerate() {
                 row[k * state_dim..(k + 1) * state_dim].copy_from_slice(s);
             }
-            let row = self.scratch.x_next.row_mut(b);
+            let row = scratch.x_next.row_mut(b);
             for (k, s) in t.next_states.iter().enumerate() {
                 row[k * state_dim..(k + 1) * state_dim].copy_from_slice(s);
             }
+            step.actions.extend(t.actions.iter().flatten());
         }
 
-        // Targets: identical arithmetic and evaluation order to
-        // `train_step` (double-DQN, averaged over branches).
-        self.online.q_values_into(
-            &self.scratch.x_next,
-            state_dim,
-            false,
-            &mut self.scratch.q_eval,
-        );
-        self.target.q_values_into(
-            &self.scratch.x_next,
-            state_dim,
-            false,
-            &mut self.scratch.q_target,
-        );
-        self.scratch.targets.clear();
-        self.scratch.targets.resize(batch_size * agents, 0.0);
+        // --- Targets: double-DQN style, averaged over branches. ---
+        online.q_values_into(&scratch.x_next, state_dim, false, &mut scratch.q_eval);
+        target.q_values_into(&scratch.x_next, state_dim, false, &mut scratch.q_target);
+        // y[b * agents + k]
+        step.targets.clear();
+        step.targets.resize(batch_size * agents, 0.0);
         for k in 0..agents {
             for b in 0..batch_size {
                 let mut acc = 0.0;
                 for d in 0..num_branches {
-                    let a_star = argmax(self.scratch.q_eval.q[k][d].row(b));
-                    acc += self.scratch.q_target.q[k][d][(b, a_star)];
+                    let a_star = argmax(scratch.q_eval.q[k][d].row(b));
+                    acc += scratch.q_target.q[k][d][(b, a_star)];
                 }
-                let reward = self
-                    .buffer
-                    .get(self.scratch.batch.indices[b])
+                let reward = buffer
+                    .get(step.batch.indices[b])
                     .expect("sampled index valid")
                     .rewards[k];
-                self.scratch.targets[b * agents + k] = reward + gamma * acc / num_branches as f32;
+                step.targets[b * agents + k] = reward + config.gamma * acc / num_branches as f32;
             }
         }
 
-        self.online.zero_grads();
+        online.zero_grads();
         // Snapshot the trunk dropout streams *before* the train forward, so
-        // the epilogue can replay the forward (and its masks) exactly.
-        let mut trunk_rng = Vec::new();
-        self.online.trunk.dropout_rng_states_into(&mut trunk_rng);
-        let mut trunk_out = Tensor::default();
-        trunk_out.copy_from(self.online.trunk.forward_scratch(&self.scratch.x, true));
-        let mut trunk_grad = Tensor::default();
-        trunk_grad.resize_zeroed(batch_size, trunk_out.cols());
-
-        // Own copies of sampled actions: `observe` pushes between chunks
-        // may overwrite sampled replay slots in the ring buffer.
-        let indices = self.scratch.batch.indices.clone();
-        let mut actions = Vec::with_capacity(batch_size * agents * num_branches);
-        for &idx in &indices {
-            let t = self.buffer.get(idx).expect("sampled index valid");
-            for k in 0..agents {
-                for d in 0..num_branches {
-                    actions.push(t.actions[k][d]);
-                }
-            }
-        }
-        let mut x = Tensor::default();
-        x.copy_from(&self.scratch.x);
-        Ok(Some(Box::new(BudgetedStep {
-            x,
-            indices,
-            weights: self.scratch.batch.weights.clone(),
-            actions,
-            targets: self.scratch.targets.clone(),
-            trunk_out,
-            trunk_rng,
-            trunk_grad,
-            abs_td: vec![0.0; batch_size],
-            agent_td: vec![0.0; agents],
-            agent_vgrad: vec![0.0; agents],
-            loss: 0.0,
-            next_agent: 0,
-        })))
+        // the epilogue of a split step can replay the forward (and its
+        // masks) exactly.
+        online.trunk.dropout_rng_states_into(&mut step.trunk_rng);
+        step.trunk_out
+            .copy_from(online.trunk.forward_scratch(&step.x, true));
+        step.trunk_grad
+            .resize_zeroed(batch_size, step.trunk_out.cols());
+        step.abs_td.clear();
+        step.abs_td.resize(batch_size, 0.0);
+        step.agent_td.clear();
+        step.agent_td.resize(agents, 0.0);
+        step.agent_vgrad.clear();
+        step.agent_vgrad.resize(agents, 0.0);
+        step.loss = 0.0;
+        step.next_agent = 0;
+        step.split = false;
+        step.in_flight = true;
+        Ok(true)
     }
 
-    /// Epilogue of a budgeted step: gradient rescaling, trunk backward over
-    /// recomputed activations, NaN guard, clipping, Adam, priority
-    /// write-back, target sync and quarantine scan — the exact tail of
-    /// [`train_step`](Self::train_step).
-    fn finish_budgeted_step(&mut self, step: BudgetedStep) -> TrainStats {
-        let batch_size = self.config.batch_size;
-        let agents = self.config.agents;
-        let num_branches = self.config.branches.len();
-        let mut trunk_grad = step.trunk_grad;
-
-        for head in self.online.adv_heads.iter_mut() {
-            head.scale_grads(1.0 / agents as f32);
+    /// Agent `k`'s value-head and advantage-head forward/backward pass over
+    /// the step's minibatch: accumulates its loss, TD errors and head
+    /// gradients, and its share of the trunk gradient.
+    fn agent_pass(&mut self, k: usize) {
+        let quarantine_on = self.config.quarantine.enabled;
+        // A quarantined agent contributes nothing this step: no forward, no
+        // loss term, no gradient, no replay priority. The remaining K−1
+        // agents train exactly as usual (probation is time-based, so
+        // nothing needs measuring here either).
+        if quarantine_on && self.guards[k].frozen_until > 0 {
+            return;
         }
-        trunk_grad.scale(1.0 / num_branches as f32);
-        // Interleaved eval forwards clobbered the trunk's activation
-        // caches; restore the pre-forward dropout snapshot and recompute
-        // the train forward so backward sees the original masks and
-        // activations — and the post-step RNG state matches the unbudgeted
-        // path (one net advance).
-        self.online
-            .trunk
-            .set_dropout_rng_states(&step.trunk_rng)
-            .expect("snapshot taken from this trunk");
-        self.online.trunk.forward_scratch(&step.x, true);
-        self.online.trunk.backward_scratch(&trunk_grad);
+        let MaBdq {
+            config,
+            online,
+            scratch,
+            step,
+            ..
+        } = self;
+        let batch_size = config.batch_size;
+        let agents = config.agents;
+        let num_branches = config.branches.len();
+        let state_dim = config.state_dim;
+        let norm = (batch_size * agents * num_branches) as f32;
+        let trunk_dim = step.trunk_out.cols();
+        let vh = &mut online.value_heads[k];
 
-        // The quarantine scan reads its per-agent signals from the shared
-        // scratch; surface the step-owned accumulators there.
-        self.scratch.abs_td.clear();
-        self.scratch.abs_td.extend_from_slice(&step.abs_td);
-        self.scratch.agent_td.clear();
-        self.scratch.agent_td.extend_from_slice(&step.agent_td);
-        self.scratch.agent_vgrad.clear();
-        self.scratch
-            .agent_vgrad
-            .extend_from_slice(&step.agent_vgrad);
+        scratch.agent_state.resize_zeroed(batch_size, state_dim);
+        for b in 0..batch_size {
+            scratch
+                .agent_state
+                .row_mut(b)
+                .copy_from_slice(&step.x.row(b)[k * state_dim..(k + 1) * state_dim]);
+        }
+        step.trunk_out
+            .concat_cols_into(&scratch.agent_state, &mut scratch.input_k)
+            .expect("same batch");
+        let v = vh.forward_scratch(&scratch.input_k, true);
+        scratch.v_grad.resize_zeroed(batch_size, 1);
+        scratch
+            .input_grad
+            .resize_zeroed(batch_size, scratch.input_k.cols());
+
+        for (d, head) in online.adv_heads.iter_mut().enumerate() {
+            let adv = head.forward_scratch(&scratch.input_k, true);
+            let n = adv.cols();
+            scratch.adv_grad.resize_zeroed(batch_size, n);
+            for b in 0..batch_size {
+                let a = step.actions[(b * agents + k) * num_branches + d];
+                let row = adv.row(b);
+                let mean: f32 = row.iter().sum::<f32>() / n as f32;
+                let q = v[(b, 0)] + row[a] - mean;
+                let delta = q - step.targets[b * agents + k];
+                step.abs_td[b] += (delta.abs() / (agents * num_branches) as f32) as f64;
+                if quarantine_on {
+                    step.agent_td[k] += f64::from(delta.abs());
+                }
+                let w = step.batch.weights[b];
+                step.loss += w * delta * delta / norm;
+                let g = 2.0 * w * delta / norm;
+                let grow = scratch.adv_grad.row_mut(b);
+                for (j, gj) in grow.iter_mut().enumerate() {
+                    let indicator = if j == a { 1.0 } else { 0.0 };
+                    *gj = g * (indicator - 1.0 / n as f32);
+                }
+                scratch.v_grad[(b, 0)] += g;
+            }
+            let gin = head.backward_scratch(&scratch.adv_grad);
+            scratch.input_grad.add_assign(gin).expect("same shape");
+        }
+        let gin_v = vh.backward_scratch(&scratch.v_grad);
+        scratch.input_grad.add_assign(gin_v).expect("same shape");
+        if quarantine_on {
+            step.agent_vgrad[k] = f64::from(vh.grad_sq_norm());
+        }
+        scratch
+            .input_grad
+            .split_cols_into(trunk_dim, &mut scratch.to_trunk, &mut scratch.to_state);
+        step.trunk_grad
+            .add_assign(&scratch.to_trunk)
+            .expect("same shape");
+    }
+
+    /// Epilogue of a gradient step: gradient rescaling, trunk backward,
+    /// NaN guard, clipping, Adam, priority write-back, target sync,
+    /// quarantine scan and telemetry.
+    fn finish_step(&mut self) -> TrainStats {
+        let MaBdq {
+            config,
+            online,
+            adam,
+            buffer,
+            step,
+            ..
+        } = self;
+        step.in_flight = false;
+        // Section III-A rescaling: 1/K into the deepest advantage layers,
+        // 1/D into the shared representation.
+        for head in online.adv_heads.iter_mut() {
+            head.scale_grads(1.0 / config.agents as f32);
+        }
+        step.trunk_grad.scale(1.0 / config.branches.len() as f32);
+        if step.split {
+            // The caller ran between chunks and may have clobbered the
+            // trunk's activation caches; restore the pre-forward dropout
+            // snapshot and recompute the train forward so backward sees the
+            // original masks and activations — and the post-step RNG state
+            // matches a one-call step (one net advance).
+            online
+                .trunk
+                .set_dropout_rng_states(&step.trunk_rng)
+                .expect("snapshot taken from this trunk");
+            online.trunk.forward_scratch(&step.x, true);
+        }
+        online.trunk.backward_scratch(&step.trunk_grad);
 
         let loss = step.loss;
-        let mean_abs_td = (step.abs_td.iter().sum::<f64>() / batch_size as f64) as f32;
-        let grad_norm = self.online.grad_sq_norm().sqrt();
-        if !loss.is_finite() || !grad_norm.is_finite() {
-            self.online.zero_grads();
+        let mean_abs_td = (step.abs_td.iter().sum::<f64>() / config.batch_size as f64) as f32;
+        let grad_norm = online.grad_sq_norm().sqrt();
+        // NaN guard: a numerically blown-up minibatch (non-finite loss or
+        // gradients) must not reach the weights — one bad Adam step can
+        // permanently poison the network. Skip the update and report it.
+        let skipped = !loss.is_finite() || !grad_norm.is_finite();
+        if skipped {
+            online.zero_grads();
             self.skipped_steps += 1;
-            self.quarantine_scan();
-            let stats = TrainStats {
-                loss,
-                mean_abs_td,
-                grad_norm,
-                skipped: true,
-            };
-            self.record_train_stats(&stats);
-            return stats;
+        } else {
+            // Global-norm clipping, then Adam.
+            if config.grad_clip > 0.0 && grad_norm > config.grad_clip {
+                online.scale_all_grads(config.grad_clip / grad_norm);
+            }
+            online.apply(adam);
+            buffer.update_priorities(&step.batch.indices, &step.abs_td);
+            self.steps += 1;
+            if self.steps.is_multiple_of(self.config.target_update_every) {
+                self.target.copy_weights_from(&self.online);
+                self.resync_quantized();
+            }
         }
-
-        if self.config.grad_clip > 0.0 && grad_norm > self.config.grad_clip {
-            self.online
-                .scale_all_grads(self.config.grad_clip / grad_norm);
-        }
-        self.online.apply(&mut self.adam);
-
-        self.buffer.update_priorities(&step.indices, &step.abs_td);
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.config.target_update_every) {
-            self.target.copy_weights_from(&self.online);
-            self.resync_quantized();
-        }
+        // The scan runs on skipped steps too: the agent whose TD blew up
+        // trips and freezes here, so subsequent minibatch losses become
+        // finite again and the other K−1 agents resume training instead of
+        // being starved by the global guard forever.
         self.quarantine_scan();
         let stats = TrainStats {
             loss,
             mean_abs_td,
             grad_norm,
-            skipped: false,
+            skipped,
         };
         self.record_train_stats(&stats);
         stats

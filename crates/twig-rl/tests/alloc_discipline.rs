@@ -2,11 +2,11 @@
 //!
 //! This binary installs the counting allocator from `twig-nn` as its global
 //! allocator, warms the agent up (first calls size every scratch buffer),
-//! then asserts that further `train_step` / `select_actions_into` /
-//! `q_values_into` calls perform ZERO heap allocations. This is the
-//! regression gate for the scratch-buffer work: any accidental `clone()`,
-//! `Vec::new` or tensor materialisation on the hot path fails loudly here
-//! long before it shows up in a profile.
+//! then asserts that further `train_step` / `train_step_budgeted` /
+//! `select_actions_into` / `q_values_into` calls perform ZERO heap
+//! allocations. This is the regression gate for the scratch-buffer work:
+//! any accidental `clone()`, `Vec::new` or tensor materialisation on the
+//! hot path fails loudly here long before it shows up in a profile.
 //!
 //! Kept as its own integration test so the `#[global_allocator]` does not
 //! leak into other test binaries, and run single-threaded by construction
@@ -14,7 +14,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use twig_nn::count_alloc;
-use twig_rl::{MaBdq, MaBdqConfig, MultiTransition};
+use twig_rl::{BudgetedProgress, MaBdq, MaBdqConfig, MultiTransition};
 
 /// Counting wrapper around the system allocator. The impl lives here (the
 /// library crates forbid unsafe code) and reports into the process-wide
@@ -75,6 +75,26 @@ fn transition(step: usize) -> MultiTransition {
     }
 }
 
+/// Drives one budgeted step to `Done` one agent per call, deciding between
+/// chunks the way the deadline scheduler does.
+fn budgeted_step_with_decisions(
+    agent: &mut MaBdq,
+    states: &[Vec<f32>],
+    actions: &mut Vec<Vec<usize>>,
+    q_out: &mut Vec<Vec<Vec<f32>>>,
+) {
+    loop {
+        match agent.train_step_budgeted(1).unwrap() {
+            BudgetedProgress::InProgress { .. } => {
+                agent.q_values_into(states, q_out).unwrap();
+                agent.select_actions_into(states, 0.5, actions).unwrap();
+            }
+            BudgetedProgress::Done(_) => return,
+            BudgetedProgress::NotReady => panic!("batch available"),
+        }
+    }
+}
+
 #[test]
 fn hot_path_is_allocation_free_in_steady_state() {
     assert!(
@@ -97,6 +117,7 @@ fn hot_path_is_allocation_free_in_steady_state() {
     agent.refresh_quantized().unwrap();
     for _ in 0..3 {
         agent.train_step().unwrap().expect("batch available");
+        budgeted_step_with_decisions(&mut agent, &states, &mut actions, &mut q_out);
         agent
             .select_actions_into(&states, 0.5, &mut actions)
             .unwrap();
@@ -109,13 +130,16 @@ fn hot_path_is_allocation_free_in_steady_state() {
         agent.q_values_into(&states, &mut q_out).unwrap();
     }
 
-    // Steady state: ten epochs of learn + decide, zero allocations. The
-    // window covers several target-network syncs (every 3 steps), each of
-    // which also re-quantizes the armed fallback snapshot in place, plus
-    // the fused, per-agent reference, and fixed-point decision paths.
+    // Steady state: ten epochs of learn + decide, zero allocations. Each
+    // epoch runs one full step and one budgeted step split into per-agent
+    // chunks with decisions between them. The window covers several
+    // target-network syncs (every 3 steps), each of which also
+    // re-quantizes the armed fallback snapshot in place, plus the fused,
+    // per-agent reference, and fixed-point decision paths.
     let start = count_alloc::allocation_count();
     for _ in 0..10 {
         agent.train_step().unwrap().expect("batch available");
+        budgeted_step_with_decisions(&mut agent, &states, &mut actions, &mut q_out);
         agent
             .select_actions_into(&states, 0.5, &mut actions)
             .unwrap();

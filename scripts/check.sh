@@ -15,16 +15,17 @@ step() {
     shift
     # Explicit status capture: run under `if` so `set -e` doesn't abort the
     # gate mid-way — every step reports PASS/FAIL and the worst status wins.
-    local status=0
+    local status=0 start=$SECONDS
     if "$@"; then
         status=0
     else
         status=$?
     fi
+    local secs=$((SECONDS - start))
     if [ "$status" -eq 0 ]; then
-        echo "PASS: $name"
+        echo "PASS: $name (${secs}s)"
     else
-        echo "FAIL: $name (exit $status)"
+        echo "FAIL: $name (exit $status, ${secs}s)"
         fail=1
     fi
 }
