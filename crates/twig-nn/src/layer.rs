@@ -101,11 +101,9 @@ pub struct Dense {
     grad_w: Tensor,
     grad_b: Vec<f32>,
     cached_input: Option<Tensor>,
-    // Scratch for the weight-gradient product in `backward_into`. Gradients
-    // are computed here then folded into `grad_w` via `add_assign`, keeping
-    // the accumulation order identical to the allocating path (which also
-    // materialised the product before adding).
-    gw_scratch: Tensor,
+    // `W^T`, rebuilt by every `backward_into` so the input-gradient product
+    // `dY * W^T` streams contiguous rows through the tiled kernel.
+    wt_scratch: Tensor,
     gb_scratch: Vec<f32>,
 }
 
@@ -126,7 +124,7 @@ impl Dense {
             grad_w: Tensor::zeros(in_dim, out_dim),
             grad_b: vec![0.0; out_dim],
             cached_input: None,
-            gw_scratch: Tensor::zeros(0, 0),
+            wt_scratch: Tensor::zeros(0, 0),
             gb_scratch: Vec::new(),
         }
     }
@@ -238,17 +236,15 @@ impl Layer for Dense {
             .as_ref()
             .expect("backward called before forward");
         input
-            .t_matmul_into(grad_output, &mut self.gw_scratch)
+            .t_matmul_acc_into(grad_output, &mut self.grad_w)
             .expect("dense backward shape");
-        self.grad_w
-            .add_assign(&self.gw_scratch)
-            .expect("grad shape");
         grad_output.sum_rows_into(&mut self.gb_scratch);
         for (gb, g) in self.grad_b.iter_mut().zip(&self.gb_scratch) {
             *gb += g;
         }
+        self.w.transpose_into(&mut self.wt_scratch);
         grad_output
-            .matmul_t_into(&self.w, grad_input)
+            .matmul_fold_into(&self.wt_scratch, grad_input)
             .expect("dense input grad shape");
     }
 

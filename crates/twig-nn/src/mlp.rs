@@ -147,7 +147,7 @@ impl Mlp {
     ///
     /// This is the batched-inference entry point: because layer state stays
     /// untouched, a network whose weights are shared across K agents can
-    /// evaluate a stacked `K·B`-row matrix in one cache-blocked GEMM per
+    /// evaluate a stacked `K·B`-row matrix in one tiled GEMM per
     /// dense layer. `&mut self` is needed only for the scratch buffers; the
     /// returned reference is valid until the next forward/backward call.
     pub fn forward_batch_scratch(&mut self, input: &Tensor) -> &Tensor {

@@ -97,12 +97,13 @@ impl Adam {
         let t = *t as i32;
         let bias1 = 1.0 - self.beta1.powi(t);
         let bias2 = 1.0 - self.beta2.powi(t);
-        for i in 0..param.len() {
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * grad[i];
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
-            let m_hat = m[i] / bias1;
-            let v_hat = v[i] / bias2;
-            param[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        for (((p, &g), m), v) in param.iter_mut().zip(grad).zip(m).zip(v) {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / bias1;
+            let v_hat = *v / bias2;
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 

@@ -80,8 +80,10 @@ impl<T> PrioritizedReplay<T> {
     }
 
     /// Adds an item with the current maximum priority (so new experiences
-    /// are replayed at least once).
-    pub fn push(&mut self, item: T) {
+    /// are replayed at least once) and returns its slot index. Once the
+    /// buffer is full, slots are reused oldest-first, so the returned index
+    /// names the slot whose previous item was just overwritten.
+    pub fn push(&mut self, item: T) -> usize {
         let slot = if self.items.len() < self.capacity {
             self.items.push(item);
             self.items.len() - 1
@@ -92,6 +94,7 @@ impl<T> PrioritizedReplay<T> {
             slot
         };
         self.tree.set(slot, self.max_priority.powf(self.alpha));
+        slot
     }
 
     /// Reads an item by buffer index.
@@ -342,12 +345,14 @@ mod tests {
     #[test]
     fn eviction_reuses_slots() {
         let mut per = PrioritizedReplay::new(2, 0.6, 0.4, 10);
-        per.push("a");
-        per.push("b");
-        per.push("c"); // evicts slot 0
+        assert_eq!(per.push("a"), 0);
+        assert_eq!(per.push("b"), 1);
+        assert_eq!(per.push("c"), 0); // evicts slot 0
+        assert_eq!(per.push("d"), 1);
+        assert_eq!(per.push("e"), 0);
         assert_eq!(per.len(), 2);
-        assert_eq!(per.get(0), Some(&"c"));
-        assert_eq!(per.get(1), Some(&"b"));
+        assert_eq!(per.get(0), Some(&"e"));
+        assert_eq!(per.get(1), Some(&"d"));
         assert_eq!(per.get(2), None);
     }
 

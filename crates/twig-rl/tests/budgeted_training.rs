@@ -347,6 +347,17 @@ type GoldenStep = (u64, [u32; 3], bool);
 /// Prefills `cfg`'s agent, then runs 40 `train_step` calls, observing one
 /// transition after each, and returns each step's digest.
 fn trajectory(cfg: MaBdqConfig, prefill: usize, poison: Range<usize>) -> (MaBdq, Vec<GoldenStep>) {
+    trajectory_with(cfg, prefill, poison, |_, _, _| {})
+}
+
+/// [`trajectory`] with a hook that runs after each step's observation and
+/// may mutate the agent; it gets the step index and the trajectory's RNG.
+fn trajectory_with(
+    cfg: MaBdqConfig,
+    prefill: usize,
+    poison: Range<usize>,
+    mut between: impl FnMut(&mut MaBdq, usize, &mut Xoshiro256),
+) -> (MaBdq, Vec<GoldenStep>) {
     let mut agent = MaBdq::new(cfg.clone()).unwrap();
     let mut rng = Xoshiro256::seed_from_u64(21);
     for _ in 0..prefill {
@@ -370,6 +381,7 @@ fn trajectory(cfg: MaBdqConfig, prefill: usize, poison: Range<usize>) -> (MaBdq,
         agent
             .observe(fed_transition(&cfg, &poison, step, &mut rng))
             .unwrap();
+        between(&mut agent, step, &mut rng);
     }
     (agent, out)
 }
@@ -403,6 +415,43 @@ fn train_step_matches_golden_trajectory() {
     assert!(stats.trips >= 1 && stats.readmissions >= 1, "{stats:?}");
     assert!(c.iter().any(|&(_, _, skipped)| skipped));
     assert_golden("k3-quarantine", &c, &GOLDEN_K3_QUARANTINE);
+}
+
+#[test]
+fn wrapped_replay_matches_golden_trajectory() {
+    // (d) A 24-slot ring buffer fed three transitions per step: it wraps
+    // about every eight steps, so sampled slots are overwritten all run
+    // long and a minibatch of 8 from 24 often samples a slot twice. The
+    // target net syncs every 5 steps; a checkpoint saved after step 11 is
+    // restored after step 22 (rewinding weights and the step clock), and a
+    // transfer reset after step 32 re-draws every head's last layer. Each of
+    // these rewrites target weights or replay slots under the step, and the
+    // restore and the reset both land between syncs, after steps that drew
+    // on the current target weights.
+    let cfg = MaBdqConfig {
+        buffer_capacity: 24,
+        target_update_every: 5,
+        ..config()
+    };
+    let mut saved = None;
+    let (agent, d) = trajectory_with(cfg.clone(), 16, NO_POISON, |agent, step, rng| {
+        for _ in 0..2 {
+            agent
+                .observe(fed_transition(&cfg, &NO_POISON, 0, rng))
+                .unwrap();
+        }
+        match step {
+            11 => saved = Some(agent.save_checkpoint()),
+            22 => agent
+                .load_checkpoint(saved.as_ref().expect("saved at step 11"))
+                .unwrap(),
+            32 => agent.transfer_reset(),
+            _ => {}
+        }
+    });
+    assert_eq!(agent.buffer_len(), 24);
+    assert_eq!(agent.steps(), 40 - (22 - 11));
+    assert_golden("k3-wrap", &d, &GOLDEN_K3_WRAP);
 }
 
 /// Golden trajectory (a), generated on the implementation with separate
@@ -539,4 +588,50 @@ const GOLDEN_K3_QUARANTINE: [GoldenStep; 40] = [
     (0xe4b851f556a137e5, [0x3e486818, 0x3ef28251, 0x3ed1ef74], false),
     (0x1933fcd8bc76590f, [0x3eb862a3, 0x3efafb12, 0x3f5f6fd6], false),
     (0x1abf38a8adb5be01, [0x3eaa5b45, 0x3f0b7b04, 0x3f9242a1], false),
+];
+
+/// Golden trajectory (d), generated on the implementation that evaluated
+/// the target network on every sampled row (no per-slot target-Q cache).
+#[rustfmt::skip]
+const GOLDEN_K3_WRAP: [GoldenStep; 40] = [
+    (0x9542aad2fa403841, [0x3fc0a26a, 0x3f6e86d6, 0x4002c956], false),
+    (0x4b240f92d4d2faa9, [0x409a2600, 0x3fd0430c, 0x40e19193], false),
+    (0x3a4bd6d146a656f1, [0x3ffec4b9, 0x3f9061e7, 0x407a7d69], false),
+    (0x930c2d71779ae367, [0x3f9a000e, 0x3f6b2990, 0x3ff30ff3], false),
+    (0x3c73e84f57636116, [0x3f96abaf, 0x3f63c355, 0x3fdb0848], false),
+    (0x5c389c0214dec10a, [0x3f3420eb, 0x3f43272d, 0x3f8cd9b0], false),
+    (0xc6c3dc6ee0c7f1d0, [0x3f70f9de, 0x3f6a9c34, 0x3fa92eb3], false),
+    (0x5d54251fb3cc5987, [0x3f6e9d17, 0x3f560380, 0x3fd90876], false),
+    (0xce26cc71608a05ea, [0x3f0e34a6, 0x3f1ed26a, 0x3f9987b1], false),
+    (0x4851b1ecc8ee5b7d, [0x3f25464e, 0x3f3b62df, 0x3fb7e78b], false),
+    (0x12526d40da34b7de, [0x3f1b4afe, 0x3f1a5301, 0x3f68dc69], false),
+    (0x55d0b99dc02dbb28, [0x3f32688c, 0x3f35b194, 0x3f9c3e5c], false),
+    (0x715fa642d241ebe3, [0x3f0ee83b, 0x3f41a1b6, 0x3f77357f], false),
+    (0xfe2ccee66bf713c4, [0x3e89dea6, 0x3ee99454, 0x3f2f857d], false),
+    (0xc4a67312f0b5622f, [0x3e50c7d5, 0x3ee64437, 0x3ef1f052], false),
+    (0xb46b9ef0cde5b24f, [0x3ebebcf9, 0x3f18fd8b, 0x3f2d0aac], false),
+    (0xfd88022c50ff97cd, [0x3f2556f4, 0x3f0ce961, 0x3ffabb07], false),
+    (0xaefafa15f37b057f, [0x3e666eed, 0x3f012556, 0x3f160db3], false),
+    (0x9092ed9de2e44b26, [0x3e7757c7, 0x3ee646e8, 0x3f15a9bb], false),
+    (0x3da104b4e9a90fdb, [0x3df737a4, 0x3ead5b9e, 0x3ebe5c77], false),
+    (0xde033f0ad8602224, [0x3e54248d, 0x3edf354c, 0x3f1c6122], false),
+    (0x868ad5e71e3fc8e1, [0x3de53a0a, 0x3ebab269, 0x3ec4c080], false),
+    (0x3756472cc36d73b9, [0x3e8e8a9f, 0x3ef55bac, 0x3f1a714e], false),
+    (0x5590bc045171d29e, [0x3f6ec7c0, 0x3f60d616, 0x3fa4fb4e], false),
+    (0x51193d600092a89d, [0x3ea8787e, 0x3f074301, 0x3f6e7ac9], false),
+    (0xac08db66b1b2926b, [0x3ed03304, 0x3f1be4b5, 0x3f34f523], false),
+    (0x18d49b3bf7e2747e, [0x3e994c68, 0x3f0efa51, 0x3f5d7398], false),
+    (0xadbc1ea17972a629, [0x3f164a4f, 0x3f316cf9, 0x3f6b3944], false),
+    (0x53e41e377c62407c, [0x3ec18d79, 0x3f146754, 0x3f3fbe3d], false),
+    (0x1186b9290bcd34aa, [0x3e2f4537, 0x3ed73b5e, 0x3e943026], false),
+    (0x8cfa551032f8e166, [0x3ea6aa7d, 0x3f065025, 0x3f24c8ad], false),
+    (0xd92ac839e5f263b6, [0x3e339ebc, 0x3ee12717, 0x3ed41909], false),
+    (0xcf96297f693bf5b4, [0x3e70ce3e, 0x3eee59e9, 0x3f0f6182], false),
+    (0x375a1c98f0ddd8d7, [0x3f101acc, 0x3f4ad787, 0x3fb04d63], false),
+    (0xecca6e3f0e78d5c9, [0x3f3a9a47, 0x3f668e61, 0x3fa534d6], false),
+    (0x731e5480cafd94be, [0x3e8d03e4, 0x3f2749b4, 0x3ee33927], false),
+    (0xbe1a2336e5f9be50, [0x3e98a863, 0x3efff36e, 0x3f253da0], false),
+    (0xa96503d64c6aac35, [0x3eb774dd, 0x3f13b63d, 0x3f1fdc2d], false),
+    (0xd805b929bdd65aa6, [0x3ef9c43e, 0x3f27ba21, 0x3f8dc6ff], false),
+    (0xbbfeaa02a570426b, [0x3ed012f4, 0x3f229259, 0x3f63e0d9], false),
 ];
