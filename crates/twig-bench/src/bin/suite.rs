@@ -35,9 +35,7 @@ fn main() {
         ("memcomplexity", exp::memcomplexity::run_to),
         ("resilience", exp::resilience::run_to),
         ("chaos", exp::chaos::run_to),
-        ("cluster", exp::cluster::run_to),
         ("federate", exp::federate::run_to),
-        ("timing", exp::timing::run_to),
         ("platform", exp::platform::run_to),
         ("scenario", exp::scenario::run_to),
         ("telemetry_report", exp::telemetry_report::run_to),

@@ -2,9 +2,10 @@
 //! the federated learning plane. Not a paper figure.
 //!
 //! Each schedule boots the same heterogeneous four-node fleet as the
-//! cluster suite (three 18-core sockets, one 12-core socket), enables
-//! weight-exchange rounds through [`Cluster::enable_federation`], and
-//! drives the plane through a scripted-plus-rate [`FedFaultPlan`]:
+//! `scenarios/suites/fleet-*.scn` schedules (three 18-core sockets, one
+//! 12-core socket), enables weight-exchange rounds through
+//! [`Cluster::enable_federation`], and drives the plane through a
+//! scripted-plus-rate [`FedFaultPlan`]:
 //! corrupted and truncated payloads, Byzantine nodes (garbage,
 //! non-finite and offset weights), stragglers, dropped payloads,
 //! poisoned merges, plus cluster-level partitions and blackouts landing
@@ -245,7 +246,7 @@ fn schedules() -> Vec<Schedule> {
     ]
 }
 
-/// Same heterogeneous fleet as the cluster suite: the 12-core socket's
+/// Same heterogeneous fleet as the fleet schedules: the 12-core socket's
 /// agents have a different branch cardinality, so its payloads exercise
 /// the shape rung and its replicas the incompatible-recipient path on
 /// every single round.
@@ -283,7 +284,6 @@ fn cluster_config(epochs: u64, seed: u64) -> ClusterConfig {
         replication: REPLICATION,
         suspect_after_misses: SUSPECT_AFTER,
         coordinator: CoordinatorConfig {
-            suspect_after_misses: SUSPECT_AFTER,
             spinup_epochs: 2,
             transfer_bytes_per_epoch: 64 * 1024,
             stall_timeout_epochs: 3,
@@ -436,22 +436,10 @@ fn run_schedule(
 
     // Telemetry mirrors, both prefixes.
     let snapshot = telemetry.metrics().ok_or("telemetry disabled")?;
-    let fed_mirror = snapshot.counters_with_prefix("fed.");
-    let cluster_mirror = snapshot.counters_with_prefix("cluster.");
-    let telemetry_consistent = fed.counter_pairs_all().iter().all(|&(name, value)| {
-        fed_mirror
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(value == 0, |&(_, v)| v == value)
-    }) && fed_mirror
-        .iter()
-        .all(|(name, _)| FedStats::COUNTER_NAMES.contains(&name.as_str()))
-        && stats.counter_pairs_all().iter().all(|&(name, value)| {
-            cluster_mirror
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(value == 0, |&(_, v)| v == value)
-        });
+    let telemetry_consistent = snapshot
+        .check_mirror("fed.", &fed.counter_pairs_all())
+        .and_then(|()| snapshot.check_mirror("cluster.", &stats.counter_pairs_all()))
+        .is_ok();
     assert!(
         telemetry_consistent,
         "{}: fed.*/cluster.* telemetry diverged from the stats structs",

@@ -11,7 +11,6 @@
 
 pub mod ablation;
 pub mod chaos;
-pub mod cluster;
 pub mod diurnal;
 pub mod federate;
 pub mod fig01;
@@ -33,4 +32,3 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod telemetry_report;
-pub mod timing;

@@ -225,7 +225,7 @@ impl Outcome {
     }
 }
 
-/// Small-but-real learning stack (the timing suite's shape): pure
+/// Small-but-real learning stack (the metered scenario runner's shape): pure
 /// exploitation in `observe` keeps the policy deterministic under a fixed
 /// seed.
 fn build_twig(services: Vec<ServiceSpec>, epochs: u64, seed: u64) -> Result<Twig, ExpError> {

@@ -45,15 +45,31 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let entries = corpus();
     writeln!(
         out,
-        "Scenario corpus: {} scenarios from scenarios/*.scn (self-seeded; report is jobs- and seed-invariant)\n",
+        "Scenario corpus: {} scenarios from scenarios/**/*.scn (self-seeded; report is jobs- and seed-invariant)\n",
         entries.len()
     )?;
+    run_entries(out, &entries, opts.jobs, opts.seed).map(drop)
+}
 
+/// Runs `(file, text)` corpus entries as a fleet of `jobs` workers and
+/// appends the report table, the failing scenarios' assertion
+/// diagnostics and the pass count; returns the outcomes in entry order.
+///
+/// # Errors
+///
+/// Returns an error when a scenario fails to parse/compile/run or when
+/// any scenario's assertions fail (after the full report is appended).
+pub fn run_entries(
+    out: &mut String,
+    entries: &[(&str, &str)],
+    jobs: usize,
+    seed: u64,
+) -> Result<Vec<ScenarioOutcome>, ExpError> {
     let units: Vec<Unit<'_, ScenarioOutcome>> = entries
         .iter()
         .map(|(file, text)| Unit::new(format!("scn:{file}"), move |_seed| run_one(file, text)))
         .collect();
-    let outcomes = run_fleet(units, opts.jobs, opts.seed).into_outputs()?;
+    let outcomes = run_fleet(units, jobs, seed).into_outputs()?;
 
     let mut t = TextTable::new(vec![
         "scenario", "topology", "epochs", "services", "asserts", "digest", "result",
@@ -101,7 +117,7 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     if failed > 0 {
         return Err(format!("{failed} scenario(s) failed their assertions").into());
     }
-    Ok(())
+    Ok(outcomes)
 }
 
 #[cfg(test)]
@@ -124,18 +140,8 @@ mod tests {
             .collect();
         assert_eq!(light.len(), 3);
         let render = |jobs: usize| {
-            let units: Vec<Unit<'_, ScenarioOutcome>> = light
-                .iter()
-                .map(|(file, text)| {
-                    Unit::new(format!("scn:{file}"), move |_seed| run_one(file, text))
-                })
-                .collect();
-            let outcomes = run_fleet(units, jobs, 42).into_outputs().unwrap();
             let mut s = String::new();
-            for o in &outcomes {
-                let _ = writeln!(s, "{} {:016x} {}", o.name, o.digest, o.passed);
-                assert!(o.passed, "{}: {:?}", o.name, o.assertions);
-            }
+            run_entries(&mut s, &light, jobs, 42).unwrap();
             s
         };
         let one = render(1);

@@ -147,8 +147,15 @@ pub fn cluster_bookkeeping_ms(iters: u32) -> Result<f64, ExpError> {
         .collect();
     let services = 3;
     let nodes = cores.len();
-    let mut balancer = LoadBalancer::new(services, weights, 2)?;
-    let mut coord = Coordinator::new(services, nodes, 2, CoordinatorConfig::default())?;
+    let suspect_after = 2;
+    let mut balancer = LoadBalancer::new(services, weights, suspect_after)?;
+    let mut coord = Coordinator::new(
+        services,
+        nodes,
+        2,
+        suspect_after,
+        CoordinatorConfig::default(),
+    )?;
     for s in 0..services {
         coord.admit_replica(s, NodeId(s % nodes))?;
         coord.admit_replica(s, NodeId((s + 1) % nodes))?;

@@ -71,18 +71,3 @@ fn federate_serial_and_parallel_bit_identical() {
     assert_eq!(serial, two, "federate output depends on --jobs 2");
     assert_eq!(serial, four, "federate output depends on --jobs 4");
 }
-
-#[test]
-fn cluster_serial_and_parallel_bit_identical() {
-    // The cluster chaos suite runs six fault schedules — crashes,
-    // blackouts, partitions, corrupted and stalled migrations — as fleet
-    // units. Every fault draw comes from the per-schedule seeded plan and
-    // every scenario row from lifetime counters, so the full faulted
-    // report must be byte-identical at any worker count.
-    let serial = render(experiments::cluster::run_to, 1);
-    let two = render(experiments::cluster::run_to, 2);
-    let four = render(experiments::cluster::run_to, 4);
-    assert!(serial.contains("crash + failover"));
-    assert_eq!(serial, two, "cluster output depends on --jobs 2");
-    assert_eq!(serial, four, "cluster output depends on --jobs 4");
-}

@@ -37,7 +37,8 @@ pub struct ClusterConfig {
     pub demand_rps: Vec<u64>,
     /// Target replicas per service.
     pub replication: usize,
-    /// Balancer-side suspicion threshold, missed heartbeats.
+    /// Suspicion threshold, missed heartbeats, shared by the balancer and
+    /// the coordinator.
     pub suspect_after_misses: u32,
     /// Coordinator tunables.
     pub coordinator: CoordinatorConfig,
@@ -69,89 +70,66 @@ impl ClusterConfig {
     }
 }
 
-macro_rules! cluster_stats {
-    ($($(#[$doc:meta])+ $field:ident => $name:literal,)+) => {
-        /// Lifetime counters of everything the control plane did. Every
-        /// field is mirrored into telemetry under the matching
-        /// `cluster.*` counter.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct ClusterStats {
-            $($(#[$doc])+ pub $field: u64,)+
-        }
-
-        impl ClusterStats {
-            /// The telemetry counter names, in field order.
-            pub const COUNTER_NAMES: &'static [&'static str] = &[$($name,)+];
-
-            /// All `(counter name, value)` pairs, including zeros.
-            pub fn counter_pairs_all(&self) -> Vec<(&'static str, u64)> {
-                vec![$(($name, self.$field),)+]
-            }
-
-            /// Adds `delta` into `self`, field by field.
-            pub fn merge(&mut self, delta: &ClusterStats) {
-                $(self.$field += delta.$field;)+
-            }
-        }
-    };
-}
-
-cluster_stats! {
-    /// Epochs stepped.
-    epochs => "cluster.epochs",
-    /// Whole-server crashes injected.
-    crashes => "cluster.crashes",
-    /// Server reboots (scripted and automatic).
-    restarts => "cluster.restarts",
-    /// Heartbeats missing on the balancer channel (node-epochs).
-    heartbeat_misses => "cluster.heartbeat_misses",
-    /// Nodes newly suspected dead by the balancer (failover moments).
-    failovers => "cluster.failovers",
-    /// Requests routed to replicas.
-    routed_rps => "cluster.routed_rps",
-    /// Requests that bounced off an unreachable replica and re-routed.
-    bounced_rps => "cluster.bounced_rps",
-    /// Requests parked in the balancer backlog.
-    deferred_rps => "cluster.deferred_rps",
-    /// Duplicate routing-table entries defensively dropped.
-    double_route_guards => "cluster.double_route_guards",
-    /// Epochs in which the balancer's books did not balance.
-    conservation_failures => "cluster.conservation_failures",
-    /// Replica spin-ups started by repair planning.
-    spinups => "cluster.spinups",
-    /// Planned (scripted) migrations started.
-    migrations_started => "cluster.migrations_started",
-    /// Spin-ups and migrations that landed a replica.
-    migrations_completed => "cluster.migrations_completed",
-    /// Replicas activated from a restored checkpoint.
-    activations_restored => "cluster.activations_restored",
-    /// Replicas activated cold (no checkpoint offered).
-    activations_cold => "cluster.activations_cold",
-    /// Replicas activated cold because the checkpoint could not be
-    /// adopted.
-    activations_cold_fallback => "cluster.activations_cold_fallback",
-    /// Transfer epochs that made no progress.
-    transfer_stalls => "cluster.transfer_stalls",
-    /// Half-transferred state discarded (stall timeout or corruption).
-    transfer_rollbacks => "cluster.transfer_rollbacks",
-    /// Delivered payloads that failed validation.
-    transfer_corruptions => "cluster.transfer_corruptions",
-    /// Transfers that exhausted retries and downgraded to cold.
-    transfer_downgrades => "cluster.transfer_downgrades",
-    /// Replicas torn down on nodes by placement sync.
-    decommissions => "cluster.decommissions",
-    /// Epochs the coordinator spent blacked out.
-    blackout_epochs => "cluster.blackout_epochs",
-    /// Node-epochs spent partitioned from the coordinator.
-    partition_node_epochs => "cluster.partition_node_epochs",
-    /// Node-epochs served autonomously (replicas up, coordinator
-    /// unreachable).
-    autonomous_epochs => "cluster.autonomous_epochs",
-    /// Actuations taken by a coordinator-reachable node on a stale
-    /// placement (must stay 0).
-    stale_actuations => "cluster.stale_actuations",
-    /// Node placement syncs that advanced a node's generation.
-    placement_syncs => "cluster.placement_syncs",
+twig_telemetry::counter_stats! {
+    /// Lifetime counters of everything the control plane did. Every field
+    /// is mirrored into telemetry under the matching `cluster.*` counter.
+    pub struct ClusterStats {
+        /// Epochs stepped.
+        epochs => "cluster.epochs",
+        /// Whole-server crashes injected.
+        crashes => "cluster.crashes",
+        /// Server reboots (scripted and automatic).
+        restarts => "cluster.restarts",
+        /// Heartbeats missing on the balancer channel (node-epochs).
+        heartbeat_misses => "cluster.heartbeat_misses",
+        /// Nodes newly suspected dead by the balancer (failover moments).
+        failovers => "cluster.failovers",
+        /// Requests routed to replicas.
+        routed_rps => "cluster.routed_rps",
+        /// Requests that bounced off an unreachable replica and re-routed.
+        bounced_rps => "cluster.bounced_rps",
+        /// Requests parked in the balancer backlog.
+        deferred_rps => "cluster.deferred_rps",
+        /// Duplicate routing-table entries defensively dropped.
+        double_route_guards => "cluster.double_route_guards",
+        /// Epochs in which the balancer's books did not balance.
+        conservation_failures => "cluster.conservation_failures",
+        /// Replica spin-ups started by repair planning.
+        spinups => "cluster.spinups",
+        /// Planned (scripted) migrations started.
+        migrations_started => "cluster.migrations_started",
+        /// Spin-ups and migrations that landed a replica.
+        migrations_completed => "cluster.migrations_completed",
+        /// Replicas activated from a restored checkpoint.
+        activations_restored => "cluster.activations_restored",
+        /// Replicas activated cold (no checkpoint offered).
+        activations_cold => "cluster.activations_cold",
+        /// Replicas activated cold because the checkpoint could not be
+        /// adopted.
+        activations_cold_fallback => "cluster.activations_cold_fallback",
+        /// Transfer epochs that made no progress.
+        transfer_stalls => "cluster.transfer_stalls",
+        /// Half-transferred state discarded (stall timeout or corruption).
+        transfer_rollbacks => "cluster.transfer_rollbacks",
+        /// Delivered payloads that failed validation.
+        transfer_corruptions => "cluster.transfer_corruptions",
+        /// Transfers that exhausted retries and downgraded to cold.
+        transfer_downgrades => "cluster.transfer_downgrades",
+        /// Replicas torn down on nodes by placement sync.
+        decommissions => "cluster.decommissions",
+        /// Epochs the coordinator spent blacked out.
+        blackout_epochs => "cluster.blackout_epochs",
+        /// Node-epochs spent partitioned from the coordinator.
+        partition_node_epochs => "cluster.partition_node_epochs",
+        /// Node-epochs served autonomously (replicas up, coordinator
+        /// unreachable).
+        autonomous_epochs => "cluster.autonomous_epochs",
+        /// Actuations taken by a coordinator-reachable node on a stale
+        /// placement (must stay 0).
+        stale_actuations => "cluster.stale_actuations",
+        /// Node placement syncs that advanced a node's generation.
+        placement_syncs => "cluster.placement_syncs",
+    }
 }
 
 /// Per-service slice of one cluster epoch.
@@ -260,8 +238,13 @@ impl Cluster {
         }
         let weights = config.nodes.iter().map(NodePlatform::weight).collect();
         let balancer = LoadBalancer::new(services, weights, config.suspect_after_misses)?;
-        let coordinator =
-            Coordinator::new(services, n, config.replication, config.coordinator.clone())?;
+        let coordinator = Coordinator::new(
+            services,
+            n,
+            config.replication,
+            config.suspect_after_misses,
+            config.coordinator.clone(),
+        )?;
         let mut cluster = Cluster {
             config,
             nodes,
@@ -303,7 +286,7 @@ impl Cluster {
             node.sync_placement(self.coordinator.placement());
             delta.placement_syncs += 1;
         }
-        self.commit_stats(&delta);
+        self.stats.commit(&delta, &self.telemetry);
         Ok(())
     }
 
@@ -329,28 +312,6 @@ impl Cluster {
                     }
                 })
                 .collect(),
-        }
-    }
-
-    /// Folds a per-epoch stats delta into the lifetime stats and mirrors
-    /// every nonzero counter into telemetry.
-    fn commit_stats(&mut self, delta: &ClusterStats) {
-        self.stats.merge(delta);
-        for (name, value) in delta.counter_pairs_all() {
-            if value > 0 {
-                self.telemetry.counter_add(name, value);
-            }
-        }
-    }
-
-    /// Folds a federation stats delta into the lifetime stats and
-    /// mirrors every nonzero counter into telemetry under `fed.*`.
-    fn commit_fed_stats(&mut self, delta: &FedStats) {
-        self.fed_stats.merge(delta);
-        for (name, value) in delta.counter_pairs_all() {
-            if value > 0 {
-                self.telemetry.counter_add(name, value);
-            }
         }
     }
 
@@ -749,7 +710,7 @@ impl Cluster {
                     &mut fed_delta,
                 )?;
             }
-            self.commit_fed_stats(&fed_delta);
+            self.fed_stats.commit(&fed_delta, &self.telemetry);
         }
 
         // 11. Tick down windows, commit stats, assemble the report.
@@ -757,7 +718,7 @@ impl Cluster {
         for left in &mut self.partition_left {
             *left = left.saturating_sub(1);
         }
-        self.commit_stats(&delta);
+        self.stats.commit(&delta, &self.telemetry);
         Ok(ClusterEpochReport {
             epoch,
             routed_rps: routing.routed,
@@ -959,6 +920,48 @@ mod tests {
     }
 
     #[test]
+    fn coordinator_never_evicts_before_the_balancer_fails_over() {
+        // One threshold drives both channels: at 3 missed heartbeats the
+        // coordinator must not pull the crashed node's replicas before the
+        // balancer has failed it over.
+        let faults = ClusterFaultConfig {
+            scripted: vec![ScriptedEvent {
+                epoch: 3,
+                event: ClusterEvent::Crash { node: 0 },
+            }],
+            ..ClusterFaultConfig::default()
+        };
+        let config = ClusterConfig {
+            suspect_after_misses: 3,
+            coordinator: CoordinatorConfig::default(),
+            ..config(3)
+        };
+        let mut c = Cluster::new(
+            config,
+            ClusterFaultPlan::new(faults, 42).unwrap(),
+            Telemetry::disabled(),
+        )
+        .unwrap();
+        let hosts_node0 = |c: &Cluster| (0..2).any(|s| c.placement().hosts(s, NodeId(0)));
+        assert!(hosts_node0(&c), "node 0 must start with a replica");
+        let (mut failed_over, mut evicted) = (None, None);
+        for _ in 0..12 {
+            let r = c.step().unwrap();
+            if failed_over.is_none() && c.stats().failovers > 0 {
+                failed_over = Some(r.epoch);
+            }
+            if evicted.is_none() && !hosts_node0(&c) {
+                evicted = Some(r.epoch);
+            }
+        }
+        let (failed_over, evicted) = (failed_over.unwrap(), evicted.unwrap());
+        assert!(
+            evicted >= failed_over,
+            "placement dropped node 0 at epoch {evicted}, balancer failed over at {failed_over}"
+        );
+    }
+
+    #[test]
     fn telemetry_counters_match_stats() {
         let faults = ClusterFaultConfig {
             scripted: vec![
@@ -984,22 +987,10 @@ mod tests {
             c.step().unwrap();
         }
         let snapshot = telemetry.metrics().unwrap();
-        let mirrored = snapshot.counters_with_prefix("cluster.");
-        for (name, value) in c.stats().counter_pairs_all() {
-            let got = mirrored
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, v)| v)
-                .unwrap_or(0);
-            assert_eq!(got, value, "telemetry mismatch for {name}");
-        }
-        // Every mirrored counter is a known stat name.
-        for (name, _) in &mirrored {
-            assert!(
-                ClusterStats::COUNTER_NAMES.contains(&name.as_str()),
-                "unknown counter {name}"
-            );
-        }
+        assert_eq!(
+            snapshot.check_mirror("cluster.", &c.stats().counter_pairs_all()),
+            Ok(())
+        );
         assert_eq!(c.stats().restarts, 1);
     }
 

@@ -25,8 +25,6 @@ use twig_core::{
 /// Tunables for the coordinator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoordinatorConfig {
-    /// Consecutive missed heartbeats before a node is declared dead.
-    pub suspect_after_misses: u32,
     /// Epochs a new replica spends spinning up before transfer begins.
     pub spinup_epochs: u64,
     /// State-transfer throughput, bytes per epoch.
@@ -45,7 +43,6 @@ pub struct CoordinatorConfig {
 impl Default for CoordinatorConfig {
     fn default() -> Self {
         CoordinatorConfig {
-            suspect_after_misses: 2,
             spinup_epochs: 2,
             transfer_bytes_per_epoch: 64 * 1024,
             stall_timeout_epochs: 3,
@@ -58,9 +55,6 @@ impl Default for CoordinatorConfig {
 
 impl CoordinatorConfig {
     fn validate(&self) -> Result<(), ClusterError> {
-        if self.suspect_after_misses == 0 {
-            return Err(ClusterError::invalid("suspect_after_misses must be ≥ 1"));
-        }
         if self.transfer_bytes_per_epoch == 0 {
             return Err(ClusterError::invalid("transfer rate must be ≥ 1 B/epoch"));
         }
@@ -153,6 +147,9 @@ pub enum HandoffResult {
 #[derive(Debug)]
 pub struct Coordinator {
     config: CoordinatorConfig,
+    /// Consecutive missed heartbeats before a node is declared dead —
+    /// the balancer's suspicion threshold, so both channels agree.
+    suspect_after_misses: u32,
     policy: ReplicatedPlacement,
     placement: ServicePlacement,
     miss: Vec<u32>,
@@ -163,16 +160,18 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Creates a coordinator for `services` services over `nodes` nodes
-    /// at the given replication factor.
+    /// at the given replication factor, declaring a node dead after
+    /// `suspect_after_misses` consecutive missed heartbeats.
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::InvalidConfig`] for empty shapes or a bad
-    /// config.
+    /// Returns [`ClusterError::InvalidConfig`] for empty shapes, a zero
+    /// threshold or a bad config.
     pub fn new(
         services: usize,
         nodes: usize,
         replication: usize,
+        suspect_after_misses: u32,
         config: CoordinatorConfig,
     ) -> Result<Self, ClusterError> {
         if services == 0 || nodes == 0 {
@@ -180,9 +179,13 @@ impl Coordinator {
                 "coordinator needs services and nodes",
             ));
         }
+        if suspect_after_misses == 0 {
+            return Err(ClusterError::invalid("suspect_after_misses must be ≥ 1"));
+        }
         config.validate()?;
         Ok(Coordinator {
             config,
+            suspect_after_misses,
             policy: ReplicatedPlacement::new(replication),
             placement: ServicePlacement::new(services),
             miss: vec![0; nodes],
@@ -235,7 +238,7 @@ impl Coordinator {
                 self.believed_alive[n] = true;
             } else {
                 self.miss[n] = self.miss[n].saturating_add(1);
-                if self.believed_alive[n] && self.miss[n] >= self.config.suspect_after_misses {
+                if self.believed_alive[n] && self.miss[n] >= self.suspect_after_misses {
                     self.believed_alive[n] = false;
                     let lost = self.placement.evict_node(NodeId(n)).len() as u64;
                     newly_dead.push((NodeId(n), lost));
@@ -428,7 +431,7 @@ mod tests {
     use twig_core::NodeView;
 
     fn coord() -> Coordinator {
-        Coordinator::new(2, 3, 2, CoordinatorConfig::default()).unwrap()
+        Coordinator::new(2, 3, 2, 2, CoordinatorConfig::default()).unwrap()
     }
 
     fn view(alive: &[bool], hosted: &[usize]) -> ClusterView {
@@ -497,6 +500,7 @@ mod tests {
             1,
             2,
             1,
+            2,
             CoordinatorConfig {
                 spinup_epochs: 0,
                 transfer_bytes_per_epoch: 10,
@@ -532,6 +536,7 @@ mod tests {
             1,
             2,
             1,
+            2,
             CoordinatorConfig {
                 spinup_epochs: 0,
                 transfer_bytes_per_epoch: 4,
@@ -539,7 +544,6 @@ mod tests {
                 max_transfer_attempts: 3,
                 initial_backoff_epochs: 2,
                 max_backoff_epochs: 4,
-                ..CoordinatorConfig::default()
             },
         )
         .unwrap();
@@ -586,6 +590,7 @@ mod tests {
             1,
             2,
             1,
+            2,
             CoordinatorConfig {
                 spinup_epochs: 0,
                 transfer_bytes_per_epoch: 100,
@@ -635,10 +640,6 @@ mod tests {
     fn config_validated() {
         for bad in [
             CoordinatorConfig {
-                suspect_after_misses: 0,
-                ..CoordinatorConfig::default()
-            },
-            CoordinatorConfig {
                 transfer_bytes_per_epoch: 0,
                 ..CoordinatorConfig::default()
             },
@@ -647,8 +648,9 @@ mod tests {
                 ..CoordinatorConfig::default()
             },
         ] {
-            assert!(Coordinator::new(1, 1, 1, bad).is_err());
+            assert!(Coordinator::new(1, 1, 1, 2, bad).is_err());
         }
-        assert!(Coordinator::new(0, 1, 1, CoordinatorConfig::default()).is_err());
+        assert!(Coordinator::new(0, 1, 1, 2, CoordinatorConfig::default()).is_err());
+        assert!(Coordinator::new(1, 1, 1, 0, CoordinatorConfig::default()).is_err());
     }
 }

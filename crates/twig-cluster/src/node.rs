@@ -454,9 +454,9 @@ impl ClusterNode {
         }
 
         // Meter the local decision loop through the deadline scheduler
-        // with nominal per-phase costs (the cluster suite measures
+        // with nominal per-phase costs (cluster runs inject
         // *control-plane* faults; per-phase timing faults live in the
-        // single-server timing suite).
+        // single-server timing scenarios).
         self.clock.set(epoch as f64 * 1000.0);
         self.scheduler.begin_epoch();
         self.clock.advance(5.0); // PMC read

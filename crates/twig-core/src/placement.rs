@@ -247,8 +247,8 @@ pub trait PlacementPolicy {
     fn name(&self) -> &str;
 
     /// Proposes repairs given the current belief and placement. Must be
-    /// deterministic in its inputs: the cluster chaos suites rely on
-    /// bit-identical planning across runs.
+    /// deterministic in its inputs: cluster runs rely on bit-identical
+    /// planning across runs.
     fn plan(&mut self, view: &ClusterView, placement: &ServicePlacement) -> Vec<PlacementAction>;
 }
 

@@ -1,10 +1,10 @@
-//! The shipped scenario corpus: every `.scn` file under `scenarios/`,
-//! compiled into the crate so the corpus is versioned with the code that
-//! runs it. Each file is authored in canonical form (see [`crate::emit`])
+//! The shipped scenario corpus: every `.scn` file under `scenarios/`
+//! (`suites/` holds the timing and fleet fault schedules), compiled into
+//! the crate so the corpus is versioned with the code that runs it. Each file is authored in canonical form (see [`crate::emit`])
 //! and round-trips byte-identically through the parser — `scnfmt --check`
 //! and the tests below both enforce this.
 
-/// One corpus entry per `.scn` file: `(file_name, text)`.
+/// One corpus entry per `.scn` file: `(path under scenarios/, text)`.
 const FILES: &[(&str, &str)] = &[
     (
         "steady-colocated.scn",
@@ -122,9 +122,54 @@ const FILES: &[(&str, &str)] = &[
         "platform-reject-storm.scn",
         include_str!("../../../scenarios/platform-reject-storm.scn"),
     ),
+    (
+        "suites/timing-learn-overrun.scn",
+        include_str!("../../../scenarios/suites/timing-learn-overrun.scn"),
+    ),
+    (
+        "suites/timing-pmc-stalls.scn",
+        include_str!("../../../scenarios/suites/timing-pmc-stalls.scn"),
+    ),
+    (
+        "suites/timing-actuator-stalls.scn",
+        include_str!("../../../scenarios/suites/timing-actuator-stalls.scn"),
+    ),
+    (
+        "suites/timing-clock-chaos.scn",
+        include_str!("../../../scenarios/suites/timing-clock-chaos.scn"),
+    ),
+    (
+        "suites/timing-kitchen-sink.scn",
+        include_str!("../../../scenarios/suites/timing-kitchen-sink.scn"),
+    ),
+    (
+        "suites/fleet-calm.scn",
+        include_str!("../../../scenarios/suites/fleet-calm.scn"),
+    ),
+    (
+        "suites/fleet-crash-failover.scn",
+        include_str!("../../../scenarios/suites/fleet-crash-failover.scn"),
+    ),
+    (
+        "suites/fleet-corrupt-storm.scn",
+        include_str!("../../../scenarios/suites/fleet-corrupt-storm.scn"),
+    ),
+    (
+        "suites/fleet-stall-rollback.scn",
+        include_str!("../../../scenarios/suites/fleet-stall-rollback.scn"),
+    ),
+    (
+        "suites/fleet-blackout.scn",
+        include_str!("../../../scenarios/suites/fleet-blackout.scn"),
+    ),
+    (
+        "suites/fleet-kitchen-sink.scn",
+        include_str!("../../../scenarios/suites/fleet-kitchen-sink.scn"),
+    ),
 ];
 
-/// The shipped corpus, in file order: `(file_name, text)` pairs.
+/// The shipped corpus, in file order: `(path under scenarios/, text)`
+/// pairs.
 pub fn corpus() -> Vec<(&'static str, &'static str)> {
     FILES.to_vec()
 }
@@ -134,6 +179,7 @@ mod tests {
     use super::corpus;
     use crate::{emit, parse, ScenarioRunner};
     use std::collections::BTreeSet;
+    use std::path::Path;
 
     #[test]
     fn corpus_is_nonempty_and_uniquely_named() {
@@ -146,6 +192,26 @@ mod tests {
             .map(|(_, t)| parse(t).unwrap().name.clone())
             .collect();
         assert_eq!(scn_names.len(), c.len(), "duplicate scenario names");
+    }
+
+    #[test]
+    fn corpus_lists_every_scenario_file() {
+        fn walk(dir: &Path, rel: &str, out: &mut BTreeSet<String>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let entry = entry.unwrap();
+                let name = format!("{rel}{}", entry.file_name().to_string_lossy());
+                if entry.file_type().unwrap().is_dir() {
+                    walk(&entry.path(), &format!("{name}/"), out);
+                } else if name.ends_with(".scn") {
+                    out.insert(name);
+                }
+            }
+        }
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let mut on_disk = BTreeSet::new();
+        walk(&root, "", &mut on_disk);
+        let listed: BTreeSet<String> = corpus().iter().map(|(f, _)| f.to_string()).collect();
+        assert_eq!(on_disk, listed, "scenarios/ and the corpus list disagree");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `emit(parse(emit(s))) == emit(s)`, and canonically-authored corpus
 //! files round-trip byte-identically.
 
-use crate::model::{Assertion, Scenario, ServiceDef, SpecSource, Topology};
+use crate::model::{Assertion, CounterRhs, Scenario, ServiceDef, SpecSource, Topology};
 use std::fmt::Write as _;
 use twig_sim::LoadGenerator;
 
@@ -383,5 +383,12 @@ pub(crate) fn emit_assert_line(out: &mut String, a: &Assertion) {
         Assertion::FedRounds { committed } => writeln!(out, "assert fed_rounds {committed}"),
         Assertion::FedScreened { rejected } => writeln!(out, "assert fed_screened {rejected}"),
         Assertion::Deterministic => writeln!(out, "assert deterministic"),
+        Assertion::Counter { name, op, rhs } => {
+            let _ = write!(out, "assert counter {name} {} ", op.token());
+            match rhs {
+                CounterRhs::Value(v) => writeln!(out, "{v}"),
+                CounterRhs::Counter(n) => writeln!(out, "{n}"),
+            }
+        }
     };
 }

@@ -65,8 +65,8 @@ pub use corpus::corpus;
 pub use emit::emit;
 pub use error::ScenarioError;
 pub use model::{
-    Assertion, ClusterFaultSection, FaultSection, FederateSection, Scenario, ServiceDef,
-    SpecSource, TimingSection, Topology,
+    Assertion, ClusterFaultSection, CounterOp, CounterRhs, FaultSection, FederateSection, Scenario,
+    ServiceDef, SpecSource, TimingSection, Topology,
 };
 pub use parse::parse;
 pub use runner::{

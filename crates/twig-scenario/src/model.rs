@@ -4,7 +4,9 @@ use crate::ScenarioError;
 fn bad(detail: impl Into<String>) -> ScenarioError {
     ScenarioError::invalid(detail)
 }
-use twig_cluster::{ClusterFaultConfig, FedFaultConfig, FederateConfig};
+use crate::runner::{deadline_pairs, METERED_COUNTERS};
+use twig_cluster::{ClusterFaultConfig, ClusterStats, FedFaultConfig, FedStats, FederateConfig};
+use twig_core::SchedulerStats;
 use twig_sim::{catalog, DvfsLadder, FaultConfig, LoadGenerator, ServiceSpec, TimingFaultConfig};
 
 /// One parsed scenario: everything a [`crate::ScenarioRunner`] needs to
@@ -192,8 +194,7 @@ impl FederateSection {
     }
 }
 
-/// One property the finished run must exhibit, evaluated in the style of
-/// the chaos and timing suites.
+/// One property the finished run must exhibit, evaluated after the run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Assertion {
     /// Measured QoS guarantee (percentage of measured, active epochs
@@ -250,6 +251,56 @@ pub enum Assertion {
     },
     /// Running the scenario twice produces bit-identical outcomes.
     Deterministic,
+    /// A telemetry counter of the run compares to a constant or to another
+    /// counter. Counters absent from the run read 0.
+    Counter {
+        /// Counter name (see [`Scenario::counter_names`]).
+        name: String,
+        /// Comparison, `name <op> rhs`.
+        op: CounterOp,
+        /// The constant or counter compared against.
+        rhs: CounterRhs,
+    },
+}
+
+/// The comparison of an [`Assertion::Counter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterOp {
+    /// `==`
+    Eq,
+    /// `<=`
+    Le,
+    /// `>=`
+    Ge,
+}
+
+impl CounterOp {
+    /// The DSL token.
+    pub fn token(self) -> &'static str {
+        match self {
+            CounterOp::Eq => "==",
+            CounterOp::Le => "<=",
+            CounterOp::Ge => ">=",
+        }
+    }
+
+    /// Does `lhs <op> rhs` hold?
+    pub fn holds(self, lhs: u64, rhs: u64) -> bool {
+        match self {
+            CounterOp::Eq => lhs == rhs,
+            CounterOp::Le => lhs <= rhs,
+            CounterOp::Ge => lhs >= rhs,
+        }
+    }
+}
+
+/// The right-hand side of an [`Assertion::Counter`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CounterRhs {
+    /// A constant.
+    Value(u64),
+    /// Another counter of the same run.
+    Counter(String),
 }
 
 impl Scenario {
@@ -430,8 +481,45 @@ impl Scenario {
                 }
             }
             Assertion::Deterministic => {}
+            Assertion::Counter { name, rhs, .. } => {
+                let names = self.counter_names();
+                let rhs_name = match rhs {
+                    CounterRhs::Counter(n) => Some(n),
+                    CounterRhs::Value(_) => None,
+                };
+                for n in std::iter::once(name).chain(rhs_name) {
+                    if !names.contains(&n.as_str()) {
+                        return Err(bad(format!(
+                            "counter `{n}` is not recorded by this scenario (known: {})",
+                            names.join(", ")
+                        )));
+                    }
+                }
+            }
         }
         Ok(())
+    }
+
+    /// The telemetry counters a run of this scenario records, and so the
+    /// names an `assert counter` line may use: `cluster.*` on a cluster
+    /// (plus `fed.*` with a `federate` section), `deadline.*` and the
+    /// metered loop's own `scenario.*` on a server with a `timing`
+    /// section, none otherwise.
+    pub fn counter_names(&self) -> Vec<&'static str> {
+        match self.topology {
+            Topology::Cluster { .. } => {
+                let mut names = ClusterStats::COUNTER_NAMES.to_vec();
+                if self.federate.is_some() {
+                    names.extend_from_slice(FedStats::COUNTER_NAMES);
+                }
+                names
+            }
+            Topology::Server { .. } if self.timing.is_some() => {
+                let deadline = deadline_pairs(&SchedulerStats::default()).map(|(n, _)| n);
+                [deadline.as_slice(), &METERED_COUNTERS].concat()
+            }
+            Topology::Server { .. } => Vec::new(),
+        }
     }
 }
 

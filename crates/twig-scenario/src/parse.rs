@@ -14,8 +14,8 @@
 //! scenario is ready to run.
 
 use crate::model::{
-    Assertion, ClusterFaultSection, FaultSection, FederateSection, Scenario, ServiceDef,
-    SpecSource, TimingSection, Topology,
+    Assertion, ClusterFaultSection, CounterOp, CounterRhs, FaultSection, FederateSection, Scenario,
+    ServiceDef, SpecSource, TimingSection, Topology,
 };
 use crate::ScenarioError;
 use twig_cluster::{
@@ -948,6 +948,29 @@ fn parse_assert(line: usize, toks: &[Token]) -> Result<Assertion, ScenarioError>
         "deterministic" => {
             take::<0>(line, rest)?;
             Ok(Assertion::Deterministic)
+        }
+        "counter" => {
+            let [name, op, rhs] = take::<3>(line, rest)?;
+            let op = match op.text() {
+                "==" => CounterOp::Eq,
+                "<=" => CounterOp::Le,
+                ">=" => CounterOp::Ge,
+                other => {
+                    return Err(parse_err(
+                        line,
+                        format!("unknown counter comparison `{other}` (==|<=|>=)"),
+                    ))
+                }
+            };
+            let rhs = match rhs.text().parse::<u64>() {
+                Ok(v) => CounterRhs::Value(v),
+                Err(_) => CounterRhs::Counter(rhs.text().to_string()),
+            };
+            Ok(Assertion::Counter {
+                name: name.text().to_string(),
+                op,
+                rhs,
+            })
         }
         other => Err(ScenarioError::UnknownKey {
             line,

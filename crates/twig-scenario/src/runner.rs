@@ -2,15 +2,29 @@
 //! `twig-cluster` machinery and executes it.
 //!
 //! A run is a pure function of the scenario text: the runner uses only
-//! the scenario's own seeds and the disabled-telemetry fast path, so the
-//! same `.scn` file produces bit-identical outcomes anywhere in a fleet,
-//! at any `--jobs`. Server scenarios drive a governed Twig agent stack
-//! (scheduler-metered when a `timing` section is present, with
-//! crash/recovery boundaries when `segments > 1`); cluster scenarios
+//! the scenario's own seeds, and telemetry never feeds back into the
+//! loop, so the same `.scn` file produces bit-identical outcomes anywhere
+//! in a fleet, at any `--jobs`. Server scenarios drive a governed Twig
+//! agent stack (scheduler-metered when a `timing` section is present,
+//! with crash/recovery boundaries when `segments > 1`); cluster scenarios
 //! drive a `twig-cluster` fleet with per-epoch demand compiled from the
 //! declared load shapes.
+//!
+//! Telemetry is on for the governor, the scheduler and the cluster, and
+//! its counters are what `assert counter` lines read. Some properties
+//! hold for every scenario, so they are checked on every run and fail it
+//! with [`ScenarioError::Run`] instead of needing an `assert` line:
+//!
+//! - every server epoch reports a finite, non-negative p99 per service
+//!   and a finite power reading; every cluster epoch a finite worst p99
+//!   per service and at least one live node;
+//! - the scheduler ran exactly `epochs` epochs, and its `deadline.*`
+//!   counters equal its [`SchedulerStats`];
+//! - the `cluster.*` and `fed.*` counters equal
+//!   [`ClusterStats`](twig_cluster::ClusterStats) and
+//!   [`FedStats`](twig_cluster::FedStats) name for name.
 
-use crate::model::{Assertion, Scenario, Topology};
+use crate::model::{Assertion, CounterRhs, Scenario, Topology};
 use crate::ScenarioError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use twig_cluster::{
@@ -19,8 +33,8 @@ use twig_cluster::{
 };
 use twig_core::{
     recover, ActuationDirective, CheckpointStore, EpochScheduler, GovernorConfig,
-    InferenceDirective, LearnDirective, RewardConfig, SafetyGovernor, SchedulerConfig, SimClock,
-    TaskManager, Twig, TwigBuilder, VirtualClock,
+    InferenceDirective, LearnDirective, RewardConfig, SafetyGovernor, SchedulerConfig,
+    SchedulerStats, SimClock, TaskManager, Twig, TwigBuilder, VirtualClock,
 };
 use twig_platform::{Platform, SimPlatform};
 use twig_rl::{BudgetedProgress, EpsilonSchedule, MaBdqConfig};
@@ -28,7 +42,30 @@ use twig_sim::{
     Assignment, DvfsLadder, EpochTimings, FaultPlan, LoadGenerator, Server, ServerConfig,
     ServiceSpec, TimingFaultPlan,
 };
-use twig_telemetry::Telemetry;
+use twig_telemetry::{MetricsSnapshot, Telemetry};
+
+/// Counters the metered loop keeps about its own actions: epochs that
+/// reused the last validated action, safe-plan actuations after the
+/// actuator gave up, learning chunks run and learning steps completed.
+pub(crate) const METERED_COUNTERS: [&str; 4] = [
+    "scenario.action_reuses",
+    "scenario.safe_plan_actuations",
+    "scenario.learn_chunks",
+    "scenario.learn_steps",
+];
+
+/// `(counter, stat)` pairs the scheduler mirrors into `deadline.*`.
+pub(crate) fn deadline_pairs(st: &SchedulerStats) -> [(&'static str, u64); 7] {
+    [
+        ("deadline.misses", st.misses),
+        ("deadline.stale_windows", st.stale_windows),
+        ("deadline.actuation_retries", st.actuation_retries),
+        ("deadline.actuation_timeouts", st.actuation_timeouts),
+        ("deadline.shed.defer_learn", st.defer_learn_epochs),
+        ("deadline.shed.skip_inference", st.skip_inference_epochs),
+        ("deadline.shed.safe_fallback", st.safe_fallback_epochs),
+    ]
+}
 
 /// Per-service slice of a finished run.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,11 +171,24 @@ pub struct ScenarioOutcome {
     /// FNV-1a digest of every field above — two runs are bit-identical
     /// iff their digests match.
     pub digest: u64,
+    /// Every telemetry counter at the end of the run, name-sorted (not
+    /// digested: the digest fields predate it and stay comparable).
+    pub counters: Vec<(String, u64)>,
     /// Evaluated assertions, in scenario order (empty until [`ScenarioRunner::run`]
     /// finishes).
     pub assertions: Vec<AssertionResult>,
     /// Every assertion passed.
     pub passed: bool,
+}
+
+impl ScenarioOutcome {
+    /// Telemetry counter `name` at the end of the run (0 when absent).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    }
 }
 
 /// Executes scenarios. Construction validates; [`ScenarioRunner::run`]
@@ -264,13 +314,16 @@ impl ScenarioRunner {
             dvfs: ladder.clone(),
             ..GovernorConfig::default()
         };
+        let telemetry = Telemetry::enabled();
         let mut gov = SafetyGovernor::new(twig, gov_config.clone()).map_err(run_err)?;
+        gov.set_telemetry(telemetry.clone());
 
         // Scheduler-metered loop state (present iff a timing section is).
         let mut metered = if s.timing.is_some() {
             let clock = SimClock::new();
-            let sched =
+            let mut sched =
                 EpochScheduler::new(SchedulerConfig::default(), clock.clone()).map_err(run_err)?;
+            sched.set_telemetry(telemetry.clone());
             Some((clock, sched, gov.safe_assignments()))
         } else {
             None
@@ -303,6 +356,7 @@ impl ScenarioRunner {
                     let mut config = gov_config.clone();
                     config.services = specs.clone();
                     gov = SafetyGovernor::new(fresh, config).map_err(run_err)?;
+                    gov.set_telemetry(telemetry.clone());
                 }
             }
 
@@ -351,18 +405,37 @@ impl ScenarioRunner {
                     sched,
                     last_validated,
                     &mut acc,
+                    &telemetry,
                 )?,
             };
+            let p99s = r.services.iter().map(|svc| svc.p99_ms);
+            if !r.power_w.is_finite() || p99s.clone().any(|p| !(p.is_finite() && p >= 0.0)) {
+                return Err(run_err(format!(
+                    "epoch {e}: non-finite observable (power {} W, p99s {:?} ms)",
+                    r.power_w,
+                    p99s.collect::<Vec<_>>()
+                )));
+            }
             acc.absorb(s, e, &r, &qos);
         }
 
+        let counters = telemetry.metrics().expect("runner telemetry is on");
         if let Some((_, sched, _)) = &mut metered {
             let st = sched.stats();
+            if st.epochs != s.epochs {
+                return Err(run_err(format!(
+                    "scheduler closed {} of {} epochs",
+                    st.epochs, s.epochs
+                )));
+            }
+            counters
+                .check_mirror("deadline.", &deadline_pairs(&st))
+                .map_err(run_err)?;
             acc.max_shed_depth = st.max_ladder_depth;
             acc.deadline_misses = st.misses;
             acc.stale_windows = st.stale_windows;
         }
-        Ok(acc.into_outcome(s, None))
+        Ok(acc.into_outcome(s, None, counters))
     }
 
     fn execute_cluster(
@@ -412,7 +485,8 @@ impl ScenarioRunner {
             Some(cf) => ClusterFaultPlan::new(cf.config.clone(), cf.seed).map_err(run_err)?,
             None => ClusterFaultPlan::disabled(),
         };
-        let mut cluster = Cluster::new(config, plan, Telemetry::disabled()).map_err(run_err)?;
+        let telemetry = Telemetry::enabled();
+        let mut cluster = Cluster::new(config, plan, telemetry.clone()).map_err(run_err)?;
         if let Some(f) = &s.federate {
             let fed_plan = FedFaultPlan::new(f.config.clone(), f.seed).map_err(run_err)?;
             cluster
@@ -428,6 +502,15 @@ impl ScenarioRunner {
                 cluster.set_demand(i, rps).map_err(run_err)?;
             }
             let r = cluster.step().map_err(run_err)?;
+            if r.live_nodes == 0 {
+                return Err(run_err(format!("epoch {e}: no live node left")));
+            }
+            if let Some(se) = r.services.iter().find(|se| !se.worst_p99_ms.is_finite()) {
+                return Err(run_err(format!(
+                    "epoch {e}: {} worst p99 {} ms",
+                    se.name, se.worst_p99_ms
+                )));
+            }
             conserved &= r.conserved;
             live_final = r.live_nodes;
             if e >= s.epochs - s.measure {
@@ -451,6 +534,13 @@ impl ScenarioRunner {
         }
         let stats = cluster.stats();
         let fed = cluster.fed_stats();
+        let counters = telemetry.metrics().expect("runner telemetry is on");
+        counters
+            .check_mirror("cluster.", &stats.counter_pairs_all())
+            .map_err(run_err)?;
+        counters
+            .check_mirror("fed.", &fed.counter_pairs_all())
+            .map_err(run_err)?;
         let cluster_outcome = ClusterOutcome {
             conserved,
             conservation_failures: stats.conservation_failures,
@@ -473,13 +563,13 @@ impl ScenarioRunner {
                 + fed.rejected_divergent,
             fed_cold_transfers: fed.cold_transfers,
         };
-        Ok(acc.into_outcome(s, Some(cluster_outcome)))
+        Ok(acc.into_outcome(s, Some(cluster_outcome), counters))
     }
 }
 
 /// One scheduler-metered control epoch: the full PMC → inference → learn →
-/// actuate phase walk of the timing suite, against the scenario's drawn
-/// timings.
+/// actuate phase walk against the scenario's drawn timings. Counts its own
+/// actions under [`METERED_COUNTERS`].
 fn metered_epoch(
     server: &mut Server,
     gov: &mut SafetyGovernor<Twig>,
@@ -487,7 +577,9 @@ fn metered_epoch(
     sched: &mut EpochScheduler<SimClock>,
     last_validated: &mut Vec<Assignment>,
     acc: &mut Accumulator,
+    telemetry: &Telemetry,
 ) -> Result<twig_sim::EpochReport, ScenarioError> {
+    let [reuses, safe_plans, chunks, steps] = METERED_COUNTERS;
     let t = server.epoch_timings().unwrap_or_else(EpochTimings::zero);
     if t.clock_skew_ms > 0.0 {
         let now = clock.now_ms();
@@ -513,6 +605,7 @@ fn metered_epoch(
     // Phase 2: inference.
     let mut decided = false;
     let assignments = if !fresh {
+        telemetry.counter_add(reuses, 1);
         last_validated.clone()
     } else {
         match sched.inference_directive() {
@@ -521,7 +614,10 @@ fn metered_epoch(
                 decided = true;
                 gov.decide().map_err(run_err)?
             }
-            InferenceDirective::ReuseLast => last_validated.clone(),
+            InferenceDirective::ReuseLast => {
+                telemetry.counter_add(reuses, 1);
+                last_validated.clone()
+            }
             InferenceDirective::SafeFallback => gov.decide_fallback(),
         }
     };
@@ -537,13 +633,17 @@ fn metered_epoch(
             LearnDirective::Defer => break,
             LearnDirective::Chunk => {
                 adv(clock, t.learn_chunk_ms);
+                telemetry.counter_add(chunks, 1);
                 match gov
                     .inner_mut()
                     .agent_mut()
                     .train_step_budgeted(1)
                     .map_err(run_err)?
                 {
-                    BudgetedProgress::Done(_) => step_done = true,
+                    BudgetedProgress::Done(_) => {
+                        telemetry.counter_add(steps, 1);
+                        step_done = true;
+                    }
                     BudgetedProgress::InProgress { .. } => {}
                     BudgetedProgress::NotReady => break,
                 }
@@ -562,6 +662,7 @@ fn metered_epoch(
             ActuationDirective::Retry { backoff_ms } => adv(clock, backoff_ms),
             ActuationDirective::GiveUp => {
                 gave_up = true;
+                telemetry.counter_add(safe_plans, 1);
                 applied = gov.safe_assignments();
                 break;
             }
@@ -739,7 +840,12 @@ impl Accumulator {
         }
     }
 
-    fn into_outcome(self, s: &Scenario, cluster: Option<ClusterOutcome>) -> ScenarioOutcome {
+    fn into_outcome(
+        self,
+        s: &Scenario,
+        cluster: Option<ClusterOutcome>,
+        metrics: MetricsSnapshot,
+    ) -> ScenarioOutcome {
         let services: Vec<ServiceOutcome> = self
             .services
             .into_iter()
@@ -774,6 +880,7 @@ impl Accumulator {
             recoveries_cold: self.recoveries_cold,
             cluster,
             digest: 0,
+            counters: metrics.counters,
             assertions: Vec::new(),
             passed: false,
         };
@@ -950,6 +1057,17 @@ fn evaluate(a: &Assertion, o: &ScenarioOutcome, rerun_digest: Option<u64>) -> As
             ),
             None => (false, "no rerun digest".to_string()),
         },
+        Assertion::Counter { name, op, rhs } => {
+            let got = o.counter(name);
+            let (want, what) = match rhs {
+                CounterRhs::Value(v) => (*v, v.to_string()),
+                CounterRhs::Counter(n) => (o.counter(n), format!("{n} = {}", o.counter(n))),
+            };
+            (
+                op.holds(got, want),
+                format!("{name} = {got} vs {} {what}", op.token()),
+            )
+        }
     };
     AssertionResult {
         desc: desc.trim_end().to_string(),

@@ -7,7 +7,7 @@
 //! must produce.
 
 use std::fmt::Write as _;
-use twig_scenario::{emit, parse, ScenarioError};
+use twig_scenario::{emit, parse, Assertion, CounterOp, CounterRhs, ScenarioError};
 use twig_stats::rng::{Rng, Xoshiro256};
 
 const CATALOG: &[&str] = &[
@@ -250,6 +250,17 @@ fn random_scenario(rng: &mut Xoshiro256, case: usize) -> String {
             writeln!(s, "assert fed_screened {}", rng.range_usize(1, 5)).unwrap();
         }
     }
+    if cluster && rng.next_bool(0.5) {
+        let names = ["cluster.crashes", "cluster.failovers", "cluster.routed_rps"];
+        let name = names[rng.range_usize(0, names.len())];
+        let op = ["==", "<=", ">="][rng.range_usize(0, 3)];
+        if rng.next_bool(0.5) {
+            writeln!(s, "assert counter {name} {op} {}", rng.range_usize(0, 100)).unwrap();
+        } else {
+            let rhs = names[rng.range_usize(0, names.len())];
+            writeln!(s, "assert counter {name} {op} {rhs}").unwrap();
+        }
+    }
     s
 }
 
@@ -454,6 +465,57 @@ fn federate_on_single_server_is_rejected() {
             assert!(detail.contains("federate"), "detail: {detail}")
         }
         other => panic!("expected Invalid, got {other:?}"),
+    }
+}
+
+#[test]
+fn counter_assertions_are_typed_and_checked_against_the_topology() {
+    let with = |base: &str, line: &str| parse(&format!("{base}{line}\n"));
+    let ok = with(
+        FED_BASE,
+        "assert counter fed.rounds_started >= cluster.epochs",
+    )
+    .unwrap();
+    assert_eq!(
+        ok.asserts.last(),
+        Some(&Assertion::Counter {
+            name: "fed.rounds_started".into(),
+            op: CounterOp::Ge,
+            rhs: CounterRhs::Counter("cluster.epochs".into()),
+        })
+    );
+    for (base, line, want) in [
+        (
+            FED_BASE,
+            "assert counter cluster.crashs == 0",
+            "cluster.crashs",
+        ),
+        (
+            FED_BASE,
+            "assert counter cluster.crashes == deadline.misses",
+            "deadline.misses",
+        ),
+        (
+            BASE,
+            "assert counter deadline.misses == 0",
+            "deadline.misses",
+        ),
+    ] {
+        match with(base, line) {
+            Err(ScenarioError::Invalid { detail }) => {
+                assert!(detail.contains(want), "{line}: {detail}")
+            }
+            other => panic!("{line}: expected Invalid, got {other:?}"),
+        }
+    }
+    for line in [
+        "assert counter cluster.crashes != 0",
+        "assert counter cluster.crashes ==",
+    ] {
+        match with(FED_BASE, line) {
+            Err(ScenarioError::Parse { line: l, .. }) => assert!(l > 0),
+            other => panic!("{line}: expected Parse, got {other:?}"),
+        }
     }
 }
 

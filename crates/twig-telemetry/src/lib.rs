@@ -66,6 +66,76 @@ pub use span::{EpochSpan, Phase, Stopwatch, NUM_PHASES};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// Declares a stats struct of lifetime `u64` counters, each mirrored into
+/// telemetry under a fixed counter name.
+///
+/// The struct derives `Debug, Clone, Copy, Default, PartialEq, Eq` and
+/// gets `COUNTER_NAMES` (field order), `counter_pairs_all` (every
+/// `(name, value)` pair, zeros included), `merge` (field-wise add) and
+/// `commit` (merge a delta and add its nonzero counters to a
+/// [`Telemetry`] handle). [`MetricsSnapshot::check_mirror`] audits a
+/// snapshot against `counter_pairs_all`.
+///
+/// # Examples
+///
+/// ```
+/// twig_telemetry::counter_stats! {
+///     /// Lifetime counters of a toy subsystem.
+///     pub struct ToyStats {
+///         /// Requests served.
+///         served => "toy.served",
+///         /// Requests dropped.
+///         dropped => "toy.dropped",
+///     }
+/// }
+///
+/// let tl = twig_telemetry::Telemetry::enabled();
+/// let mut total = ToyStats::default();
+/// total.commit(&ToyStats { served: 3, dropped: 0 }, &tl);
+/// assert_eq!(ToyStats::COUNTER_NAMES, ["toy.served", "toy.dropped"]);
+/// let snapshot = tl.metrics().unwrap();
+/// assert_eq!(snapshot.check_mirror("toy.", &total.counter_pairs_all()), Ok(()));
+/// ```
+#[macro_export]
+macro_rules! counter_stats {
+    (
+        $(#[$meta:meta])*
+        pub struct $ty:ident {
+            $($(#[$doc:meta])+ $field:ident => $name:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $ty {
+            $($(#[$doc])+ pub $field: u64,)+
+        }
+
+        impl $ty {
+            /// The telemetry counter names, in field order.
+            pub const COUNTER_NAMES: &'static [&'static str] = &[$($name,)+];
+
+            /// All `(counter name, value)` pairs, including zeros.
+            pub fn counter_pairs_all(&self) -> Vec<(&'static str, u64)> {
+                vec![$(($name, self.$field),)+]
+            }
+
+            /// Adds `delta` into `self`, field by field.
+            pub fn merge(&mut self, delta: &$ty) {
+                $(self.$field += delta.$field;)+
+            }
+
+            /// Folds `delta` into `self` and adds each of its nonzero
+            /// counters to `telemetry`.
+            pub fn commit(&mut self, delta: &$ty, telemetry: &$crate::Telemetry) {
+                self.merge(delta);
+                $(if delta.$field > 0 {
+                    telemetry.counter_add($name, delta.$field);
+                })+
+            }
+        }
+    };
+}
+
 /// Default bound on the span ring buffer (epochs of history kept).
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 

@@ -348,6 +348,31 @@ impl MetricsSnapshot {
             .collect()
     }
 
+    /// Checks that the counters under `prefix` mirror a stats struct name
+    /// for name: every `(name, value)` in `pairs` reads back exactly (an
+    /// absent counter reads 0), and no counter under `prefix` is missing
+    /// from `pairs`. `pairs` must list every field, zeros included.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first mismatching or unknown counter.
+    pub fn check_mirror(&self, prefix: &str, pairs: &[(&str, u64)]) -> Result<(), String> {
+        for &(name, value) in pairs {
+            let got = self.counter(name);
+            if got != value {
+                return Err(format!("telemetry {name} = {got}, stats say {value}"));
+            }
+        }
+        match self
+            .counters_with_prefix(prefix)
+            .into_iter()
+            .find(|(n, _)| !pairs.iter().any(|&(p, _)| p == n))
+        {
+            Some((n, _)) => Err(format!("telemetry counter {n} has no stats field")),
+            None => Ok(()),
+        }
+    }
+
     /// Gauge value by name.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
@@ -386,6 +411,26 @@ mod tests {
             reg.snapshot().counters_with_prefix("cluster."),
             reg.counters_with_prefix("cluster.")
         );
+    }
+
+    #[test]
+    fn check_mirror_names_the_first_divergence() {
+        let mut reg = MetricsRegistry::default();
+        reg.counter_add("cluster.failovers", 2);
+        let snap = reg.snapshot();
+        let pairs = [("cluster.failovers", 2), ("cluster.crashes", 0)];
+        assert_eq!(snap.check_mirror("cluster.", &pairs), Ok(()));
+        assert!(snap
+            .check_mirror(
+                "cluster.",
+                &[("cluster.failovers", 3), ("cluster.crashes", 0)]
+            )
+            .unwrap_err()
+            .contains("cluster.failovers"));
+        assert!(snap
+            .check_mirror("cluster.", &[("cluster.crashes", 0)])
+            .unwrap_err()
+            .contains("no stats field"));
     }
 
     #[test]

@@ -13,39 +13,29 @@
 #    crash/restart/corruption schedules — torn writes, generation
 #    fallback, cold start, agent quarantine — asserting its invariants
 #    internally; the report lands in results/chaos_report.txt.
-# 4. The timing suite (--smoke, fixed seed, --jobs 2) runs the seeded
-#    timing-chaos schedules — phase-latency spikes, stale PMC windows,
-#    actuator stalls, clock faults — against the deadline-aware epoch
-#    scheduler, asserting graceful degradation (no panics, bounded
-#    ladder, zero stale actuations) internally; the report lands in
-#    results/timing_report.txt.
-# 5. The cluster suite (--smoke, fixed seed, --jobs 2) runs the seeded
-#    fleet-failure schedules — server crashes, coordinator blackouts,
-#    partitions, stalled and corrupted migrations — against the Twig-D
-#    control plane, asserting request conservation, bounded failover,
-#    zero stale actuations and telemetry/stats consistency internally;
-#    the report lands in results/cluster_report.txt.
-# 6. The scenario corpus (fixed seed, --jobs 2) parses, runs and asserts
-#    all shipped scenarios/*.scn files — load shapes, service churn,
-#    fault/timing plans, cluster failover, digest-checked determinism —
-#    via the twig-scenario runner; the PASS/FAIL report lands in
-#    results/scenario_report.txt. scnfmt --check keeps the corpus
-#    byte-canonical first.
-# 7. The platform suite (--smoke, fixed seed, --jobs 2) drives the Linux
+# 4. The scenario corpus (fixed seed, --jobs 2) parses, runs and asserts
+#    all shipped scenarios/**/*.scn files — load shapes, service churn,
+#    fault/timing plans, cluster failover, digest-checked determinism,
+#    and under scenarios/suites/ the timing-chaos schedules against the
+#    deadline-aware epoch scheduler and the fleet-failure schedules
+#    against the Twig-D control plane — via the twig-scenario runner;
+#    the PASS/FAIL report lands in results/scenario_report.txt.
+#    scnfmt --check keeps the corpus byte-canonical first.
+# 5. The platform suite (--smoke, fixed seed, --jobs 2) drives the Linux
 #    actuation backend against a fault-injecting fake sysfs — write
 #    rejections, torn writes, governor clamps, stale/garbage counter
 #    files, flapping permissions — asserting the reconciliation ladder
 #    (read-back verify, bounded retries, divergence routed to degraded
 #    mode) and sim-backend bit-identity internally; the report lands in
 #    results/platform_report.txt.
-# 8. The federate suite (--smoke, fixed seed, --jobs 2) runs the seeded
+# 6. The federate suite (--smoke, fixed seed, --jobs 2) runs the seeded
 #    weight-exchange schedules — corrupt payload storms, Byzantine
 #    nodes, straggler quorums, mid-round partitions — against the
 #    federation plane, asserting exact screening-ladder accounting,
 #    rollback on poisoned merges, round-abort with weights untouched,
 #    and the cluster-scale policy-transfer result internally; the
 #    report lands in results/federate_report.txt.
-# 9. bench_decide (--smoke, via scripts/bench_decide.sh) sweeps the agent
+# 7. bench_decide (--smoke, via scripts/bench_decide.sh) sweeps the agent
 #    count and asserts the fused inference path is bit-identical to the
 #    per-agent loop and allocation-free; results/BENCH_decide.json. The
 #    baseline latency-regression check runs only in the full (CI
@@ -57,7 +47,7 @@ cd "$(dirname "$0")/.."
 mkdir -p results
 
 echo "== bench_smoke: building release binaries =="
-cargo build --release --offline -p twig-bench --bin bench_fleet --bin fig01_pmc_vs_ipc --bin chaos --bin timing --bin cluster --bin scenario --bin platform --bin federate
+cargo build --release --offline -p twig-bench --bin bench_fleet --bin fig01_pmc_vs_ipc --bin chaos --bin scenario --bin platform --bin federate
 cargo build --release --offline -p twig-scenario --bin scnfmt
 
 echo "== bench_smoke: fleet perf smoke (results/BENCH_fleet.json) =="
@@ -69,14 +59,8 @@ echo "== bench_smoke: fig01 smoke run (results/fig01_smoke.txt) =="
 echo "== bench_smoke: chaos suite (results/chaos_report.txt) =="
 ./target/release/chaos --smoke --seed 42 --jobs 2 | tee results/chaos_report.txt
 
-echo "== bench_smoke: timing suite (results/timing_report.txt) =="
-./target/release/timing --smoke --seed 42 --jobs 2 | tee results/timing_report.txt
-
-echo "== bench_smoke: cluster suite (results/cluster_report.txt) =="
-./target/release/cluster --smoke --seed 42 --jobs 2 | tee results/cluster_report.txt
-
 echo "== bench_smoke: scenario corpus (results/scenario_report.txt) =="
-./target/release/scnfmt --check scenarios/*.scn
+./target/release/scnfmt --check scenarios/*.scn scenarios/suites/*.scn
 ./target/release/scenario --seed 42 --jobs 2 | tee results/scenario_report.txt
 
 echo "== bench_smoke: platform suite (results/platform_report.txt) =="
